@@ -128,14 +128,12 @@ type execReport struct {
 	TreesCompiled int64 `json:"trees_compiled"`
 	Instrs        int64 `json:"instrs"`
 	CacheHits     int64 `json:"cache_hits"`
-	// Steps, Fused and Windows describe the native tier's compiled closure
-	// chains (zero on the other backends): chain steps after window fusion,
-	// superinstruction heads among them, and 3-/4-wide window fusions among
-	// the heads. TierUps counts trees promoted from the bytecode rung by
-	// adaptive tiering (-tierup).
+	// Steps and Fused describe the native tier's compiled closure chains
+	// (zero on the other backends): chain steps after pairwise fusion and
+	// superinstruction heads among them. TierUps counts trees promoted from
+	// the bytecode rung by adaptive tiering (-tierup).
 	Steps   int64 `json:"steps"`
 	Fused   int64 `json:"fused"`
-	Windows int64 `json:"windows"`
 	TierUps int64 `json:"tier_ups"`
 }
 
@@ -244,7 +242,7 @@ func run() int {
 	minGain := flag.Float64("mingain", -1, "override SpD MinGain")
 	par := flag.Int("par", 0, "evaluation-cell worker pool width (0 = GOMAXPROCS, 1 = sequential)")
 	traceMode := flag.String("trace", "replay", "timed-simulation backend: replay (capture a trace once, price every model by replay) or interp (interpret every timed run)")
-	execMode := flag.String("exec", "native", "execution backend: native (compile trees to closure-threaded window-fused chains), bcode (compile trees to register-machine bytecode), or tree (reference tree-walking interpreter)")
+	execMode := flag.String("exec", "native", "execution backend: native (compile trees to closure-threaded chains with pairwise superinstructions), bcode (compile trees to register-machine bytecode), or tree (reference tree-walking interpreter)")
 	tierUp := flag.Int64("tierup", exper.DefaultTierUp, "adaptive tiering under -exec=native: a tree starts on the bytecode rung and is promoted to the native tier at its Nth execution of a run (0 = compile every tree eagerly)")
 	fuel := flag.Int64("fuel", defaultFuel, "dynamic-operation budget per interpretation; an exceeding cell fails typed instead of hanging")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole evaluation (0 = none); expiry fails in-flight cells typed")
@@ -270,16 +268,11 @@ func run() int {
 	default:
 		log.Fatalf("unknown -trace mode %q (want replay or interp)", *traceMode)
 	}
-	switch *execMode {
-	case "bcode":
-		r.Exec = sim.ExecBytecode
-	case "native":
-		r.Exec = sim.ExecNative
-	case "tree":
-		r.Exec = sim.ExecTree
-	default:
-		log.Fatalf("unknown -exec mode %q (want bcode, native or tree)", *execMode)
+	exec, err := sim.ParseExecMode(*execMode)
+	if err != nil {
+		log.Fatalf("-exec: %v", err)
 	}
+	r.Exec = exec
 	r.TierUp = *tierUp
 	if *deadline > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
@@ -391,52 +384,25 @@ func run() int {
 		report.WallMS[name] = float64(time.Since(t0).Microseconds()) / 1000
 	}
 
-	if want("table61") {
-		exper.RenderTable61(out)
-		fmt.Fprintln(out)
-	}
-	if want("table62") {
-		exper.RenderTable62(out, r.Benchmarks)
-		fmt.Fprintln(out)
-	}
-	// The four computed reports stream: each row prints the moment its cells
+	// The computed sections stream: each row prints the moment its cells
 	// resolve (later cells still warming on the work-stealing pool), with
-	// output byte-identical to the batch renderers.
-	if want("table63") {
-		timed("table63", func() error {
-			if err := r.StreamTable63(out); err != nil {
+	// output byte-identical to the batch renderers. Only they are timed.
+	for _, sec := range exper.Sections {
+		if !want(sec.Name) {
+			continue
+		}
+		render := func() error {
+			if err := sec.Render(r, out); err != nil {
 				return err
 			}
 			fmt.Fprintln(out)
 			return nil
-		})
-	}
-	if want("fig62") {
-		timed("fig62", func() error {
-			if err := r.StreamFigure62(out); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-			return nil
-		})
-	}
-	if want("fig63") {
-		timed("fig63", func() error {
-			if err := r.StreamFigure63(out); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-			return nil
-		})
-	}
-	if want("fig64") {
-		timed("fig64", func() error {
-			if err := r.StreamFigure64(out); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-			return nil
-		})
+		}
+		if sec.Computed {
+			timed(sec.Name, render)
+		} else if err := render(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *only == "overhead" {
 		timed("overhead", func() error {
@@ -491,7 +457,6 @@ func run() int {
 			CacheHits:     st.BCodeCacheHits,
 			Steps:         st.NativeSteps,
 			Fused:         st.NativeFused,
-			Windows:       st.NativeWindows,
 			TierUps:       st.TierUps,
 		}
 		report.Resilience = resilienceReport{

@@ -25,6 +25,7 @@ import (
 	"specdis/internal/exper"
 	"specdis/internal/resilience"
 	"specdis/internal/serve"
+	"specdis/internal/sim"
 	"specdis/internal/store"
 )
 
@@ -59,13 +60,11 @@ func run() int {
 		CacheLimit:     *cacheLimit,
 		TierUp:         *tierUp,
 	}
-	switch *execMode {
-	case "native", "bcode", "tree":
-		cfg.Exec = *execMode
-	default:
-		log.Printf("unknown -exec mode %q (want native, bcode or tree)", *execMode)
+	if _, err := sim.ParseExecMode(*execMode); err != nil {
+		log.Printf("-exec: %v", err)
 		return 2
 	}
+	cfg.Exec = *execMode
 	var plan *resilience.FaultPlan
 	if *inject != "" {
 		var err error

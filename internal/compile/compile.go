@@ -25,6 +25,13 @@ const redZone = 16
 // out-of-range addresses (the interpreter clamps addresses into the memory).
 const memSlack = 4096
 
+// MaxGlobalWords bounds the words all globals may occupy together. The
+// engines allocate the whole memory image up front, so an unbounded
+// declaration (int a[4000000000]) would exhaust the host's memory; Lower
+// rejects it with a compile error instead. The largest benchmark image is
+// ~5.2k words, so the budget leaves two orders of magnitude of headroom.
+const MaxGlobalWords = 1 << 20
+
 // Options configure compilation beyond the defaults.
 type Options struct {
 	// Verify runs the full static verifier (structural, guard, exit, and
@@ -66,9 +73,13 @@ func CompileOpts(src string, o Options) (*ir.Program, error) {
 func Lower(checked *lang.CheckedProgram) (*ir.Program, error) {
 	irp := &ir.Program{Funcs: map[string]*ir.Function{}, Main: "main"}
 
-	// Lay out globals in the flat memory image.
+	// Lay out globals in the flat memory image. Comparing each size with
+	// the budget still left keeps the running sum from overflowing.
 	next := int64(redZone)
 	for _, g := range checked.AST.Globals {
+		if g.Size > MaxGlobalWords-(next-redZone) {
+			return nil, fmt.Errorf("global %q: %d words overflow the %d-word global memory budget", g.Name, g.Size, MaxGlobalWords)
+		}
 		ga := &ir.GlobalArray{Name: g.Name, Base: next, Size: g.Size}
 		for _, e := range g.Init {
 			v, err := constValue(e, g.Elem)

@@ -324,3 +324,32 @@ void main() {
 		t.Fatalf("got %q", out)
 	}
 }
+
+// TestGlobalMemoryBudget pins that globals too large for the memory budget
+// are a compile error, never an allocation: the image is sized here, long
+// before any engine allocates it.
+func TestGlobalMemoryBudget(t *testing.T) {
+	const main = "\nvoid main() { print(1); }"
+	for _, c := range []struct {
+		src string
+		ok  bool
+	}{
+		{"int a[1048576];", true},
+		{"int a[1048576]; int b;", false},
+		{"int a[4000000000];", false},
+		{"int a[1048575]; float b[2];", false},
+		// Sizes whose running sum would overflow int64.
+		{"int a[9223372036854775807]; int b[9223372036854775807];", false},
+		{"int a[1]; int b[9223372036854775807];", false},
+	} {
+		_, err := compile.Compile(c.src + main)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: unexpected error: %v", c.src, err)
+		case !c.ok && err == nil:
+			t.Errorf("%s: compiled; want a memory-budget error", c.src)
+		case !c.ok && !strings.Contains(err.Error(), "global memory budget"):
+			t.Errorf("%s: error %q does not name the budget", c.src, err)
+		}
+	}
+}

@@ -77,12 +77,12 @@ type Stats struct {
 	// instruction words; BCodeCacheHits the tree executions' compiled-program
 	// lookups served from a prepared program's shared cache.
 	BCodeCompiled, BCodeInstrs, BCodeCacheHits int64
-	// NativeSteps, NativeFused, and NativeWindows describe the native tier's
-	// compiled closure chains (native backend only): total chain steps after
-	// fusion, superinstruction heads among them, and how many of those heads
-	// are 3- or 4-wide window fusions. TierUps counts trees adaptive tiering
-	// promoted from the bytecode rung to the native tier (Runner.TierUp).
-	NativeSteps, NativeFused, NativeWindows, TierUps int64
+	// NativeSteps and NativeFused describe the native tier's compiled
+	// closure chains (native backend only): total chain steps after fusion
+	// and superinstruction heads among them. TierUps counts trees adaptive
+	// tiering promoted from the bytecode rung to the native tier
+	// (Runner.TierUp).
+	NativeSteps, NativeFused, TierUps int64
 	// CellFailures counts distinct cells that failed after exhausting their
 	// degradation ladder; CellPanics, FuelExhausted, and DeadlineExceeded
 	// split those failures by class (the remainder is corrupt-trace,
@@ -130,7 +130,6 @@ func (r *Runner) Stats() Stats {
 		BCodeCacheHits:   r.bcodeCtrs.Hits.Load(),
 		NativeSteps:      r.bcodeCtrs.Steps.Load(),
 		NativeFused:      r.bcodeCtrs.Fused.Load(),
-		NativeWindows:    r.bcodeCtrs.Windows.Load(),
 		TierUps:          r.bcodeCtrs.TierUps.Load(),
 		CellFailures:     r.nCellFails.Load(),
 		CellPanics:       r.nPanics.Load(),

@@ -98,9 +98,9 @@ type Runner struct {
 
 	// Store, when non-nil, is the persistent content-addressed artifact
 	// store (`spdbench -store=DIR`): prepare summaries, traces, priced
-	// measurement cells, compiled bytecode and native-tier metadata are
-	// served from it when present and persisted when computed, so repeat
-	// sweeps start warm. Bypassed under Verify and Inject; see store.go.
+	// measurement cells and compiled bytecode are served from it when
+	// present and persisted when computed, so repeat sweeps start warm.
+	// Bypassed under Verify and Inject; see store.go.
 	Store *store.Store
 
 	base   group[string, *ir.Program]
@@ -147,15 +147,14 @@ type Runner struct {
 
 // caches returns the runner's shared compiled-code caches, creating them on
 // first use wired to the runner's counters — and, when the persistent store
-// is enabled, backed by it, so compiled bytecode and native-tier metadata
-// survive the process.
+// is enabled, with the bytecode cache backed by it, so compiled bytecode
+// survives the process.
 func (r *Runner) caches() (*bcode.Cache, *ncode.Cache) {
 	r.cacheOnce.Do(func() {
 		r.bcCache = bcode.NewCache(&r.bcodeCtrs)
 		r.ncCache = ncode.NewCache(&r.bcodeCtrs)
 		if r.storeOK() {
 			r.bcCache.SetBacking(store.BCodeBacking(r.Store))
-			r.ncCache.SetBacking(store.NCodeBacking(r.Store))
 		}
 	})
 	return r.bcCache, r.ncCache

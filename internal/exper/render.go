@@ -17,6 +17,29 @@ import (
 // work-stealing pool. Both renderers drive the same printers over rows in
 // the same order, so their output is byte-identical by construction.
 
+// Section is one block of the paper report.
+type Section struct {
+	// Name selects the section: spdbench's -only value and wall_ms key, and
+	// spdd's only query parameter.
+	Name string
+	// Computed marks sections that evaluate benchmark cells; Tables 6-1 and
+	// 6-2 only describe the machine and the suite.
+	Computed bool
+	// Render streams the section to w, without the blank line that follows
+	// every section in the report.
+	Render func(r *Runner, w io.Writer) error
+}
+
+// Sections lists the paper report's sections in print order.
+var Sections = []Section{
+	{"table61", false, func(_ *Runner, w io.Writer) error { RenderTable61(w); return nil }},
+	{"table62", false, func(r *Runner, w io.Writer) error { RenderTable62(w, r.Benchmarks); return nil }},
+	{"table63", true, (*Runner).StreamTable63},
+	{"fig62", true, (*Runner).StreamFigure62},
+	{"fig63", true, (*Runner).StreamFigure63},
+	{"fig64", true, (*Runner).StreamFigure64},
+}
+
 // RenderTable62 prints the benchmark listing (Table 6-2).
 func RenderTable62(w io.Writer, benches []*bench.Benchmark) {
 	fmt.Fprintf(w, "Table 6-2: Benchmark Descriptions\n")

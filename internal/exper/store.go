@@ -2,10 +2,10 @@ package exper
 
 // Persistent warm-start layer: when Runner.Store is set, every expensive
 // cell artifact — prepare summaries, captured traces, priced measurement
-// cells, and (through the compiled-code caches' backings) bytecode programs
-// and native-tier metadata — is served from the content-addressed on-disk
-// store when present and persisted when computed. A fully warm run renders
-// every report without compiling a single tree or capturing a single trace.
+// cells, and (through the bytecode cache's backing) bytecode programs — is
+// served from the content-addressed on-disk store when present and persisted
+// when computed. A fully warm run renders every report without compiling a
+// single tree or capturing a single trace.
 //
 // Keys hash everything that determines an artifact's content: the
 // benchmark's source text (content addressing — renames don't invalidate),

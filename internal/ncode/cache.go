@@ -17,7 +17,6 @@ import (
 type Cache struct {
 	mu    sync.Mutex
 	ctrs  *bcode.Counters
-	back  Backing
 	ents  map[string]*list.Element // nil Prog: compile declined; tree runs on the walker
 	order *list.List               // front = most recently used (holds *cacheEnt)
 	limit int                      // max entries; 0 = unbounded
@@ -30,40 +29,10 @@ type cacheEnt struct {
 	prog *Prog
 }
 
-// Meta is the persistable residue of one native compilation. Closure chains
-// are process-bound — they cannot be serialized — but whether a tree's
-// execution content is inside the native repertoire, and how many steps it
-// lowers to, are durable facts keyed by the same content hash.
-type Meta struct {
-	// Declined marks content outside the native repertoire; the tree runs
-	// on the fallback tier and a warm cache skips the compile attempt.
-	Declined bool
-	// Steps is the compiled chain length (0 when declined); Fused counts
-	// the superinstructions of the fusion plan and Windows the wide
-	// (width ≥ 3) ones among them.
-	Steps, Fused, Windows int64
-}
-
-// Backing is a second-level metadata store behind the in-memory cache — the
-// persistent artifact store (internal/store) in production. Implementations
-// must be safe for concurrent use. Load receives the requesting tree so the
-// implementation can bounds-check the persisted metadata against it and
-// turn an implausible record (a stale or tampered artifact) into a miss.
-type Backing interface {
-	// Load returns the metadata persisted under the exec key, or false.
-	Load(t *ir.Tree, execKey []byte) (Meta, bool)
-	// Store persists one compilation's metadata under the exec key.
-	Store(execKey []byte, m Meta)
-}
-
 // NewCache returns an empty cache. ctrs may be nil.
 func NewCache(ctrs *bcode.Counters) *Cache {
 	return &Cache{ctrs: ctrs, ents: map[string]*list.Element{}, order: list.New()}
 }
-
-// SetBacking attaches a second-level metadata store consulted on in-memory
-// misses. Must be called before the cache is shared across goroutines.
-func (c *Cache) SetBacking(b Backing) { c.back = b }
 
 // SetLimit bounds the cache to n entries, evicting least-recently-used
 // compilations over capacity (0 restores the unbounded default); see
@@ -96,18 +65,6 @@ func (c *Cache) Get(t *ir.Tree) *Prog {
 		}
 		return el.Value.(*cacheEnt).prog
 	}
-	if c.back != nil {
-		if m, ok := c.back.Load(t, c.key); ok && m.Declined {
-			// A persisted decline: the content is outside the repertoire, so
-			// skip the compile attempt and send the tree to the fallback
-			// tier, exactly as a fresh decline would.
-			c.insertLocked(string(c.key), nil)
-			if c.ctrs != nil {
-				c.ctrs.Hits.Add(1)
-			}
-			return nil
-		}
-	}
 	p, err := Compile(t)
 	if err != nil {
 		p = nil
@@ -116,20 +73,8 @@ func (c *Cache) Get(t *ir.Tree) *Prog {
 		c.ctrs.Instrs.Add(int64(p.Steps))
 		c.ctrs.Steps.Add(int64(p.Steps))
 		c.ctrs.Fused.Add(int64(p.Fused))
-		c.ctrs.Windows.Add(int64(p.Windows))
 	}
 	c.insertLocked(string(c.key), p)
-	if c.back != nil {
-		if p == nil {
-			c.back.Store(c.key, Meta{Declined: true})
-		} else {
-			c.back.Store(c.key, Meta{
-				Steps:   int64(p.Steps),
-				Fused:   int64(p.Fused),
-				Windows: int64(p.Windows),
-			})
-		}
-	}
 	return p
 }
 

@@ -114,9 +114,20 @@ func diff(t *testing.T, tr *ir.Tree, regs, mem []ir.Value) *state {
 	return plain
 }
 
-// TestFusionPlan pins the fusion tiler on a tree whose leading run
-// (const, const, add, compare) tiles as one width-4 window, leaving the two
-// guarded exits as single closures.
+// planString renders a fusion plan compactly for pinning: one letter per
+// instruction — . none, c consumed, E compare+exit, A const+arith, P pair.
+func planString(plan []ncode.FuseKind) string {
+	b := make([]byte, len(plan))
+	for i, k := range plan {
+		b[i] = ".cEAP"[k]
+	}
+	return string(b)
+}
+
+// TestFusionPlan pins the pairwise tiler on a tree whose leading constants
+// fuse as a const+const pair, whose add stays alone (add+compare is not in
+// the catalog), and whose compare fuses with the exit it guards, leaving the
+// negated exit as a single closure.
 func TestFusionPlan(t *testing.T) {
 	fn, tr := newTree()
 	r0 := constOp(fn, tr, iv(10))
@@ -124,7 +135,7 @@ func TestFusionPlan(t *testing.T) {
 	r2 := fn.NewReg()
 	tr.NewOp(ir.OpAdd, []ir.Reg{r0, r1}, r2)
 	r3 := fn.NewReg()
-	tr.NewOp(ir.OpCmpLT, []ir.Reg{r2, r0}, r3) // window ends here
+	tr.NewOp(ir.OpCmpLT, []ir.Reg{r2, r0}, r3)
 	exTrue := tr.NewOp(ir.OpExit, nil, ir.NoReg)
 	exTrue.Exit, exTrue.Guard = ir.ExitRet, r3
 	exFalse := tr.NewOp(ir.OpExit, nil, ir.NoReg)
@@ -134,12 +145,15 @@ func TestFusionPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Fused != 1 || p.Windows != 1 {
-		t.Errorf("Fused = %d, Windows = %d, want 1, 1 (one width-4 window)", p.Fused, p.Windows)
+	if got, want := planString(p.Plan), "Pc.Ec."; got != want {
+		t.Errorf("plan = %s, want %s", got, want)
 	}
-	// 6 instructions, 3 consumed by the window: 3 closures.
-	if p.Steps != 3 {
-		t.Errorf("Steps = %d, want 3", p.Steps)
+	if p.Fused != 2 {
+		t.Errorf("Fused = %d, want 2", p.Fused)
+	}
+	// 6 instructions, 2 consumed by pairs: 4 closures.
+	if p.Steps != 4 {
+		t.Errorf("Steps = %d, want 4", p.Steps)
 	}
 
 	// 10+3 < 10 is false: the negated exit commits.
@@ -150,180 +164,6 @@ func TestFusionPlan(t *testing.T) {
 	if s.regs[r2].I != 13 || s.regs[r3].I != 0 {
 		t.Errorf("fused results: add=%d cmp=%d, want 13, 0", s.regs[r2].I, s.regs[r3].I)
 	}
-}
-
-// TestWindowWidths sweeps CompileWidth over a straight 8-op integer chain
-// (plus the unguarded exit, which may terminate a window) and pins how the
-// greedy tiler degrades: width 4 tiles two full windows, width 3 covers
-// everything — exit included — in three windows, width 2 falls back to the
-// pairwise catalog, and width 1 disables fusion entirely. Every width must
-// execute identically.
-func TestWindowWidths(t *testing.T) {
-	build := func() (*ir.Function, *ir.Tree, ir.Reg) {
-		fn, tr := newTree()
-		r0 := constOp(fn, tr, iv(7))
-		r1 := constOp(fn, tr, iv(5))
-		acc := r0
-		for _, k := range []ir.OpKind{ir.OpAdd, ir.OpMul, ir.OpSub, ir.OpAdd, ir.OpSub, ir.OpMul} {
-			d := fn.NewReg()
-			tr.NewOp(k, []ir.Reg{acc, r1}, d)
-			acc = d
-		}
-		ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
-		ex.Exit = ir.ExitRet
-		return fn, tr, acc
-	}
-
-	want := map[int]struct{ fused, windows int }{
-		1: {0, 0},
-		2: {4, 0}, // const+const, add+mul, sub+add, sub+mul pairs
-		3: {3, 3}, // [cc,add] [mul,sub,add] [sub,mul,exit]
-		4: {2, 2}, // [cc,add,mul] [sub,add,sub,mul], exit alone
-	}
-	var ref *state
-	for _, w := range []int{4, 3, 2, 1} {
-		fn, tr, acc := build()
-		p, err := ncode.CompileWidth(tr, w)
-		if err != nil {
-			t.Fatalf("width %d: %v", w, err)
-		}
-		if p.Fused != want[w].fused || p.Windows != want[w].windows {
-			t.Errorf("width %d: Fused = %d, Windows = %d, want %d, %d",
-				w, p.Fused, p.Windows, want[w].fused, want[w].windows)
-		}
-		s := diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
-		if s.regs[acc].I == 0 {
-			t.Fatalf("width %d: chain result unexpectedly zero", w)
-		}
-		if ref == nil {
-			ref = s
-		} else if render(ref) != render(s) {
-			t.Errorf("width %d diverged from width 4:\n%+v\n%+v", w, s, ref)
-		}
-	}
-}
-
-// TestWindowExit proves a window may end in an exit — the guard register is
-// read after every member lands, so a compare inside the window legally feeds
-// the window's own exit — and that both polarities and the double-exit
-// duplicate report survive the fusion.
-func TestWindowExit(t *testing.T) {
-	fn, tr := newTree()
-	r0 := constOp(fn, tr, iv(4))
-	r1 := fn.NewReg()
-	tr.NewOp(ir.OpAdd, []ir.Reg{r0, r0}, r1)
-	r2 := fn.NewReg()
-	tr.NewOp(ir.OpCmpGT, []ir.Reg{r1, r0}, r2) // 8 > 4: true
-	ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
-	ex.Exit, ex.Guard = ir.ExitRet, r2
-	exTail := tr.NewOp(ir.OpExit, nil, ir.NoReg)
-	exTail.Exit = ir.ExitRet
-
-	p, err := ncode.Compile(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Windows != 1 || p.Fused != 1 {
-		t.Errorf("Fused = %d, Windows = %d, want 1, 1 (exit-terminated window)", p.Fused, p.Windows)
-	}
-	s := diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
-	if s.taken != ex.Seq || s.dup != exTail.Seq {
-		t.Errorf("taken=%d dup=%d, want taken=%d dup=%d", s.taken, s.dup, ex.Seq, exTail.Seq)
-	}
-
-	// Flip the guard polarity: the fused exit squashes and the tail commits.
-	ex.GuardNeg = true
-	s = diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
-	if s.taken != exTail.Seq || s.dup != -1 {
-		t.Errorf("negated: taken=%d dup=%d, want taken=%d dup=-1", s.taken, s.dup, exTail.Seq)
-	}
-}
-
-// TestWindowAddressForwarding exercises the specialized width-3
-// const+ALU+load window where the load consumes the ALU result as its address
-// — the closure forwards the computed address without a register round trip —
-// including the profiling variant's address sample. A Div prefix (outside the
-// window catalog) and a trailing store pin the tiler to exactly that shape:
-// a width-4 window can neither start at the Div nor swallow the store.
-func TestWindowAddressForwarding(t *testing.T) {
-	for _, sub := range []bool{false, true} {
-		fn, tr := newTree()
-		rA := constOp(fn, tr, iv(21))
-		rB := constOp(fn, tr, iv(6))
-		base := fn.NewReg()
-		tr.NewOp(ir.OpDiv, []ir.Reg{rA, rB}, base) // 3; Div never joins a window
-		off := constOp(fn, tr, iv(2))
-		addr := fn.NewReg()
-		kind := ir.OpAdd
-		if sub {
-			kind = ir.OpSub
-		}
-		tr.NewOp(kind, []ir.Reg{base, off}, addr)
-		rd := fn.NewReg()
-		ld := tr.NewOp(ir.OpLoad, []ir.Reg{addr}, rd)
-		tr.NewOp(ir.OpStore, []ir.Reg{rB, rd}, ir.NoReg) // keeps the exit out of the window
-		ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
-		ex.Exit = ir.ExitRet
-
-		p, err := ncode.Compile(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// const+const pair up front, then the width-3 const+ALU+load window.
-		if p.Fused != 2 || p.Windows != 1 {
-			t.Errorf("sub=%v: Fused = %d, Windows = %d, want 2, 1", sub, p.Fused, p.Windows)
-		}
-		mem := make([]ir.Value, 8)
-		for i := range mem {
-			mem[i] = iv(int64(100 + i))
-		}
-		s := diff(t, tr, make([]ir.Value, fn.NumRegs), mem)
-		wantAddr := int64(5)
-		if sub {
-			wantAddr = 1
-		}
-		if s.regs[rd].I != 100+wantAddr {
-			t.Errorf("sub=%v: loaded %d, want %d", sub, s.regs[rd].I, 100+wantAddr)
-		}
-		nc := execNC(t, tr, make([]ir.Value, fn.NumRegs), mem, true)
-		if nc.addrs[ld.Seq] != wantAddr {
-			t.Errorf("sub=%v: profiled addr = %d, want %d", sub, nc.addrs[ld.Seq], wantAddr)
-		}
-	}
-}
-
-// TestWindowLongChain tiles a 40-op float/int chain and proves the greedy
-// tiler covers it with maximal windows while both engines agree bit for bit.
-func TestWindowLongChain(t *testing.T) {
-	fn, tr := newTree()
-	ri := constOp(fn, tr, iv(3))
-	rf := constOp(fn, tr, fv(1.5))
-	ai, af := ri, rf
-	for i := 0; i < 19; i++ {
-		d := fn.NewReg()
-		tr.NewOp(ir.OpAdd, []ir.Reg{ai, ri}, d)
-		ai = d
-		e := fn.NewReg()
-		tr.NewOp(ir.OpFMul, []ir.Reg{af, rf}, e)
-		af = e
-	}
-	ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
-	ex.Exit = ir.ExitRet
-
-	p, err := ncode.Compile(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 40 fusable ops followed by an unguarded exit: the exit joins the final
-	// window, so 41 ops tile as ten width-4 windows plus a final pair or
-	// window — at minimum ten windows.
-	if p.Windows < 10 {
-		t.Errorf("Windows = %d, want >= 10 over a 40-op chain", p.Windows)
-	}
-	if p.Steps >= len(tr.Ops)/2 {
-		t.Errorf("Steps = %d, want < %d (wide windows should dominate)", p.Steps, len(tr.Ops)/2)
-	}
-	diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
 }
 
 // TestFusionSkipsGuardedAndDiv pins the fusion pass's exclusions: guarded
@@ -347,8 +187,11 @@ func TestFusionSkipsGuardedAndDiv(t *testing.T) {
 	}
 	// The two setup constants fuse as a const+const pair; the Div consumer
 	// and the guarded compare must not fuse with anything.
+	if got, want := planString(p.Plan), "Pc..."; got != want {
+		t.Errorf("plan = %s, want %s (guarded members and Div consumers are excluded)", got, want)
+	}
 	if p.Fused != 1 {
-		t.Errorf("Fused = %d, want 1 (guarded members and Div consumers are excluded)", p.Fused)
+		t.Errorf("Fused = %d, want 1", p.Fused)
 	}
 	diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
 }

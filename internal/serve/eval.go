@@ -121,7 +121,6 @@ type evalPlan struct {
 	kind     disamb.Kind
 	memLat   int
 	exec     sim.ExecMode
-	execName string
 	fuel     int64
 	deadline time.Duration
 	lint     bool
@@ -133,7 +132,7 @@ type evalPlan struct {
 func (p *evalPlan) key() string {
 	h := sha256.Sum256([]byte(p.bench.Source))
 	return fmt.Sprintf("%s|%s|%d|%s|%d|%t",
-		hex.EncodeToString(h[:8]), p.kind, p.memLat, p.execName, p.fuel, p.lint)
+		hex.EncodeToString(h[:8]), p.kind, p.memLat, p.exec, p.fuel, p.lint)
 }
 
 // plan validates the request against the server's limits.
@@ -185,19 +184,14 @@ func (s *Server) plan(req *EvalRequest) (*evalPlan, *apiError) {
 	if !ok {
 		return nil, badRequest(fmt.Sprintf("unsupported mem_lat %d (want 2 or 6)", req.MemLat))
 	}
-	switch req.Exec {
-	case "":
-		p.exec = s.exec
-	case "native":
-		p.exec = sim.ExecNative
-	case "bcode":
-		p.exec = sim.ExecBytecode
-	case "tree":
-		p.exec = sim.ExecTree
-	default:
-		return nil, badRequest(fmt.Sprintf("unknown exec tier %q (want native, bcode or tree)", req.Exec))
+	p.exec = s.exec
+	if req.Exec != "" {
+		exec, err := sim.ParseExecMode(req.Exec)
+		if err != nil {
+			return nil, badRequest(err.Error())
+		}
+		p.exec = exec
 	}
-	p.execName = execName(p.exec)
 	if req.Fuel < 0 {
 		return nil, badRequest("fuel must be non-negative")
 	}
@@ -213,16 +207,6 @@ func (s *Server) plan(req *EvalRequest) (*evalPlan, *apiError) {
 		p.deadline = d
 	}
 	return p, nil
-}
-
-func execName(m sim.ExecMode) string {
-	switch m {
-	case sim.ExecNative:
-		return "native"
-	case sim.ExecTree:
-		return "tree"
-	}
-	return "bcode"
 }
 
 // flight is one in-flight deduplicated computation: a leader computes,
@@ -404,7 +388,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 func evalStats(p *evalPlan, st exper.Stats, elapsed time.Duration) EvalStats {
 	return EvalStats{
 		ElapsedMS:        float64(elapsed.Microseconds()) / 1000,
-		Exec:             p.execName,
+		Exec:             p.exec.String(),
 		Fuel:             p.fuel,
 		NCodeFallbacks:   st.NCodeFallbacks,
 		BCodeFallbacks:   st.BCodeFallbacks,

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"specdis/internal/bench"
 	"specdis/internal/exper"
@@ -49,24 +50,24 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		benches = []*bench.Benchmark{b}
 	}
 	only := q.Get("only")
-	switch only {
-	case "", "table61", "table62", "table63", "fig62", "fig63", "fig64":
-	default:
-		writeError(w, badRequest(fmt.Sprintf("unknown section %q (want table61, table62, table63, fig62, fig63 or fig64)", only)))
+	known := only == ""
+	names := make([]string, len(exper.Sections))
+	for i, sec := range exper.Sections {
+		known = known || sec.Name == only
+		names[i] = sec.Name
+	}
+	if !known {
+		writeError(w, badRequest(fmt.Sprintf("unknown section %q (want one of %s)", only, strings.Join(names, ", "))))
 		return
 	}
 	exec := s.exec
-	switch q.Get("exec") {
-	case "":
-	case "native":
-		exec = sim.ExecNative
-	case "bcode":
-		exec = sim.ExecBytecode
-	case "tree":
-		exec = sim.ExecTree
-	default:
-		writeError(w, badRequest(fmt.Sprintf("unknown exec tier %q (want native, bcode or tree)", q.Get("exec"))))
-		return
+	if name := q.Get("exec"); name != "" {
+		m, err := sim.ParseExecMode(name)
+		if err != nil {
+			writeError(w, badRequest(err.Error()))
+			return
+		}
+		exec = m
 	}
 
 	// The report shares the eval path's budgets: the server's fuel cap and
@@ -85,34 +86,17 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	eng := s.runner(ctx, exec, s.cfg.FuelCap, benches...)
 
 	var buf bytes.Buffer
-	want := func(name string) bool { return only == "" || only == name }
-	render := func(name string, fn func() error) error {
-		if !want(name) {
-			return nil
-		}
-		if err := fn(); err != nil {
-			return err
-		}
-		fmt.Fprintln(&buf)
-		return nil
-	}
 	err := func() error {
-		if err := render("table61", func() error { exper.RenderTable61(&buf); return nil }); err != nil {
-			return err
+		for _, sec := range exper.Sections {
+			if only != "" && only != sec.Name {
+				continue
+			}
+			if err := sec.Render(eng, &buf); err != nil {
+				return err
+			}
+			fmt.Fprintln(&buf)
 		}
-		if err := render("table62", func() error { exper.RenderTable62(&buf, eng.Benchmarks); return nil }); err != nil {
-			return err
-		}
-		if err := render("table63", func() error { return eng.StreamTable63(&buf) }); err != nil {
-			return err
-		}
-		if err := render("fig62", func() error { return eng.StreamFigure62(&buf) }); err != nil {
-			return err
-		}
-		if err := render("fig63", func() error { return eng.StreamFigure63(&buf) }); err != nil {
-			return err
-		}
-		return render("fig64", func() error { return eng.StreamFigure64(&buf) })
+		return nil
 	}()
 	s.met.absorb(eng.Stats())
 	if err != nil {

@@ -142,15 +142,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, adm: newAdmission(cfg.MaxInflight, cfg.MaxQueue)}
-	switch cfg.Exec {
-	case "", "native":
-		s.exec = sim.ExecNative
-	case "bcode":
-		s.exec = sim.ExecBytecode
-	case "tree":
-		s.exec = sim.ExecTree
-	default:
-		panic(fmt.Sprintf("serve: unknown Config.Exec %q (want native, bcode or tree)", cfg.Exec))
+	s.exec = sim.ExecNative
+	if cfg.Exec != "" {
+		exec, err := sim.ParseExecMode(cfg.Exec)
+		if err != nil {
+			panic(fmt.Sprintf("serve: Config.Exec: %v", err))
+		}
+		s.exec = exec
 	}
 	s.bc = bcode.NewCache(&s.ctrs)
 	s.nc = ncode.NewCache(&s.ctrs)
@@ -160,7 +158,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Store != nil {
 		s.bc.SetBacking(store.BCodeBacking(cfg.Store))
-		s.nc.SetBacking(store.NCodeBacking(cfg.Store))
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/eval", s.handleEval)

@@ -217,6 +217,24 @@ func TestEvalValidation(t *testing.T) {
 	}
 }
 
+// TestEvalGiantGlobal pins that a source declaring more global memory than
+// the compiler's budget is refused as invalid source before any engine
+// sizes a memory image for it, and that the daemon keeps serving.
+func TestEvalGiantGlobal(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := "int a[4000000000];\nvoid main() { a[0] = 1; print(a[0]); }"
+	status, _, resp := postEval(t, ts.URL, EvalRequest{Source: src, Pipeline: "SPEC", MemLat: 2})
+	if status != http.StatusUnprocessableEntity || resp.Error == nil || resp.Error.Class != "invalid-source" {
+		t.Fatalf("status %d, error %+v; want 422 invalid-source", status, resp.Error)
+	}
+	if !strings.Contains(resp.Error.Msg, "global memory budget") {
+		t.Errorf("error %q does not name the memory budget", resp.Error.Msg)
+	}
+	if status, _, body := get(t, ts.URL+"/healthz"); status != http.StatusOK {
+		t.Errorf("/healthz after the giant global: status %d (%s)", status, body)
+	}
+}
+
 // TestEvalBudgets pins the budget taxonomy: a starved fuel budget is the
 // client's fault (422, class fuel, cell-attributed), a starved deadline a
 // 504 — typed failures, never hangs or crashes.

@@ -13,7 +13,7 @@ type ExecMode uint8
 // Execution backends. The zero value is the bytecode engine: every tree is
 // lowered once to a flat register-machine program (internal/bcode) and run
 // by a tight dispatch loop. The native engine lowers further, to chains of
-// pre-bound closures with window-fused superinstructions (internal/ncode) —
+// pre-bound closures with pairwise superinstructions (internal/ncode) —
 // the fastest tier and the CLIs' default, optionally entered adaptively per
 // tree via Runner.TierUp. The tree walker is the reference interpreter both
 // compiled engines are differentially tested against; it also serves as the
@@ -34,6 +34,18 @@ func (m ExecMode) String() string {
 		return "native"
 	}
 	return fmt.Sprintf("execmode(%d)", int(m))
+}
+
+// ParseExecMode is the inverse of ExecMode.String: it maps "native", "bcode"
+// and "tree" to their backends and rejects every other name, the empty
+// string included (callers that default it decide so themselves).
+func ParseExecMode(s string) (ExecMode, error) {
+	for _, m := range []ExecMode{ExecNative, ExecBytecode, ExecTree} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown exec mode %q (want native, bcode or tree)", s)
 }
 
 // execBC executes one tree through its compiled bytecode, mirroring execTree

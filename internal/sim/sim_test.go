@@ -222,3 +222,30 @@ func TestFloatPrintFormatting(t *testing.T) {
 		t.Errorf("output %q", res.Output)
 	}
 }
+
+// TestParseExecMode round-trips every backend through String and
+// ParseExecMode and pins that anything else, the empty name included, is
+// rejected.
+func TestParseExecMode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mode sim.ExecMode
+	}{
+		{"native", sim.ExecNative},
+		{"bcode", sim.ExecBytecode},
+		{"tree", sim.ExecTree},
+	} {
+		if got := c.mode.String(); got != c.name {
+			t.Errorf("%d.String() = %q, want %q", c.mode, got, c.name)
+		}
+		m, err := sim.ParseExecMode(c.name)
+		if err != nil || m != c.mode {
+			t.Errorf("ParseExecMode(%q) = %v, %v; want %v", c.name, m, err, c.mode)
+		}
+	}
+	for _, bad := range []string{"", "jit", "Native", "execmode(3)"} {
+		if m, err := sim.ParseExecMode(bad); err == nil {
+			t.Errorf("ParseExecMode(%q) = %v, want an error", bad, m)
+		}
+	}
+}

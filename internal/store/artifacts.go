@@ -23,11 +23,10 @@ import (
 // Format versions, one per artifact kind. Bump on any body layout change:
 // old artifacts then read as misses and are rewritten on the next cold run.
 const (
-	VersionBCode  = 1
-	VersionNative = 2 // v2: window fusion added Fused and Windows
-	VersionTrace  = 1
-	VersionPrep   = 1
-	VersionMeas   = 1
+	VersionBCode = 1
+	VersionTrace = 1
+	VersionPrep  = 1
+	VersionMeas  = 1
 )
 
 // header appends the payload preamble.
@@ -302,56 +301,4 @@ func DecodeBCode(payload []byte) (*bcode.Prog, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// ---- Native-tier metadata ------------------------------------------------
-
-// NativeMeta is the persistable residue of a native-tier compilation —
-// closure chains themselves are process-bound, but whether a tree's content
-// is inside the native repertoire and how many steps it lowers to are not.
-// A warm native cache skips the compile attempt for known-declined trees
-// and pre-sizes its accounting from Steps.
-type NativeMeta struct {
-	// Declined marks execution content outside the native repertoire: the
-	// tree runs on the fallback tier, and retrying the compile is pointless.
-	Declined bool
-	// Steps is the compiled closure-chain length (0 when declined). Fused
-	// counts the superinstruction heads among those steps; Windows the 3- or
-	// 4-wide window fusions among the heads (both 0 when declined).
-	Steps, Fused, Windows int64
-}
-
-// EncodeNative encodes a native-tier metadata payload.
-func EncodeNative(m *NativeMeta) []byte {
-	buf := header(make([]byte, 0, 16), KindNative, VersionNative)
-	flag := byte(0)
-	if m.Declined {
-		flag = 1
-	}
-	buf = append(buf, flag)
-	buf = binary.AppendVarint(buf, m.Steps)
-	buf = binary.AppendVarint(buf, m.Fused)
-	return binary.AppendVarint(buf, m.Windows)
-}
-
-// DecodeNative decodes a native-tier metadata payload.
-func DecodeNative(payload []byte) (*NativeMeta, error) {
-	body, err := checkHeader(payload, KindNative, VersionNative)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) == 0 {
-		return nil, fmt.Errorf("%w: empty native metadata", ErrCorrupt)
-	}
-	d := &dec{b: body[1:]}
-	m := &NativeMeta{
-		Declined: body[0] != 0,
-		Steps:    d.varint("steps"),
-		Fused:    d.varint("fused"),
-		Windows:  d.varint("windows"),
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -1,26 +1,23 @@
 package store
 
-// Adapters wiring the persistent store behind the compiled-code caches:
-// bcode programs round-trip in full (the instruction stream is pure data);
-// the native tier persists compile metadata (closure chains are
-// process-bound, but repertoire membership and chain length are durable).
-// Both key on the tree's execution content (ir.AppendExecKey) hashed under
-// the artifact kind, so the on-disk namespace is shared across every
-// process, program clone, and pipeline that ever compiles the same content.
+// The adapter wiring the persistent store behind the bytecode cache: bcode
+// programs round-trip in full (the instruction stream is pure data). Native
+// closure chains are process-bound and are not persisted. Programs key on
+// the tree's execution content (ir.AppendExecKey) hashed under the artifact
+// kind, so the on-disk namespace is shared across every process, program
+// clone, and pipeline that ever compiles the same content.
 //
 // Loads are validated, not just decoded: a bcode payload that survives the
 // CRC footer and the format decoder is still run through the translation
 // validator (internal/verify.CheckBCode) against the tree that requested
-// it, and native metadata is bounds-checked against the tree's size. A
-// stale or tampered artifact — plausible bytes under a matching key — is
-// dropped (Stats.InvalidDropped) and reported as a miss, so the caller
+// it. A stale or tampered artifact — plausible bytes under a matching key —
+// is dropped (Stats.InvalidDropped) and reported as a miss, so the caller
 // recompiles and the next Put repairs the store: the same
 // drop→recompute→repair rung corruption takes, one layer deeper.
 
 import (
 	"specdis/internal/bcode"
 	"specdis/internal/ir"
-	"specdis/internal/ncode"
 	"specdis/internal/verify"
 )
 
@@ -48,35 +45,4 @@ func (b bcodeBacking) Load(t *ir.Tree, execKey []byte) (*bcode.Prog, bool) {
 
 func (b bcodeBacking) Store(execKey []byte, p *bcode.Prog) {
 	_ = b.s.Put(NewKey(KindBCode, execKey), EncodeBCode(p))
-}
-
-// ncodeBacking implements ncode.Backing over a store.
-type ncodeBacking struct{ s *Store }
-
-// NCodeBacking returns an ncode.Backing persisting native-tier compile
-// metadata in s.
-func NCodeBacking(s *Store) ncode.Backing { return ncodeBacking{s} }
-
-func (b ncodeBacking) Load(t *ir.Tree, execKey []byte) (ncode.Meta, bool) {
-	k := NewKey(KindNative, execKey)
-	m, ok := getTyped(b.s, k, DecodeNative)
-	if !ok {
-		return ncode.Meta{}, false
-	}
-	// Fusion only ever shrinks the chain, and a compiled tree emits at
-	// least its exit step, so a plausible record has 1..len(t.Ops) steps.
-	// Every window is a fusion head and every head retires one step, so
-	// Windows <= Fused <= Steps, and neither count can be negative.
-	if !m.Declined && (m.Steps < 1 || m.Steps > int64(len(t.Ops)) ||
-		m.Fused < 0 || m.Windows < 0 || m.Windows > m.Fused || m.Fused > m.Steps) {
-		b.s.DropInvalid(k)
-		return ncode.Meta{}, false
-	}
-	return ncode.Meta{Declined: m.Declined, Steps: m.Steps, Fused: m.Fused, Windows: m.Windows}, true
-}
-
-func (b ncodeBacking) Store(execKey []byte, m ncode.Meta) {
-	_ = b.s.Put(NewKey(KindNative, execKey), EncodeNative(&NativeMeta{
-		Declined: m.Declined, Steps: m.Steps, Fused: m.Fused, Windows: m.Windows,
-	}))
 }

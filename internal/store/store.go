@@ -1,6 +1,6 @@
 // Package store is a persistent, content-addressed artifact store for the
-// evaluation pipeline: compiled bytecode, native-tier metadata, captured
-// execution traces, and priced measurement cells, keyed by cryptographic
+// evaluation pipeline: compiled bytecode, captured execution traces,
+// prepare-cell summaries and priced measurement cells, keyed by cryptographic
 // hashes of everything that determines the artifact (program source,
 // pipeline, latency, transform parameters — the ir.AppendExecKey idea lifted
 // from per-process caches to disk).
@@ -58,19 +58,19 @@ type Kind byte
 
 // Artifact kinds.
 const (
-	KindBCode  Kind = 1 // compiled bytecode program (internal/bcode)
-	KindNative Kind = 2 // native-tier compile metadata (internal/ncode)
-	KindTrace  Kind = 3 // captured execution trace (internal/trace)
-	KindPrep   Kind = 4 // prepare-cell summary (SpD counts, op counts)
-	KindMeas   Kind = 5 // priced measurement cell (cycle counts per model)
+	KindBCode Kind = 1 // compiled bytecode program (internal/bcode)
+	// Kind 2 is retired (it held native-tier compile metadata). It stays
+	// unassigned rather than renumbering the others: the kind byte is
+	// hashed into every key.
+	KindTrace Kind = 3 // captured execution trace (internal/trace)
+	KindPrep  Kind = 4 // prepare-cell summary (SpD counts, op counts)
+	KindMeas  Kind = 5 // priced measurement cell (cycle counts per model)
 )
 
 func (k Kind) String() string {
 	switch k {
 	case KindBCode:
 		return "bcode"
-	case KindNative:
-		return "native"
 	case KindTrace:
 		return "trace"
 	case KindPrep:
@@ -133,8 +133,7 @@ type Stats struct {
 	CorruptDropped int64
 	// InvalidDropped counts artifacts that decoded cleanly but failed
 	// semantic validation against the tree they were loaded for (the
-	// translation validator, internal/verify.CheckBCode, or the native
-	// metadata bounds) — a stale or tampered artifact whose CRC still
+	// translation validator, internal/verify.CheckBCode) — a stale or tampered artifact whose CRC still
 	// matches. Dropped and recomputed exactly like corruption.
 	InvalidDropped int64
 	// IOShortReads and IOOpenErrors count injected store I/O faults

@@ -384,18 +384,6 @@ func TestMeasRoundtrip(t *testing.T) {
 	}
 }
 
-func TestNativeRoundtrip(t *testing.T) {
-	for _, m := range []*NativeMeta{{Declined: true}, {Steps: 42}} {
-		got, err := DecodeNative(EncodeNative(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *m {
-			t.Fatalf("roundtrip = %+v, want %+v", got, m)
-		}
-	}
-}
-
 func TestBCodeRoundtrip(t *testing.T) {
 	p := &bcode.Prog{
 		NumGuarded: 2,

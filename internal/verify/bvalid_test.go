@@ -212,10 +212,10 @@ func TestNCodeValidatorCatchesBadPlan(t *testing.T) {
 	wantFinding(t, verify.CheckNCode(badTree, bad), "nvalid/fuse-unconsumed", "does not consume")
 }
 
-// windowTree builds one synthetic single-block tree from an op-kind recipe so
-// the window-negative cases below control the exact instruction stream; ops
-// are wired into a simple chain off two leading constants.
-func windowTree(kinds []ir.OpKind) (*ir.Function, *ir.Tree) {
+// chainTree builds one synthetic single-block tree from an op-kind recipe so
+// the fusion-negative cases below control the exact instruction stream; ops
+// are wired into a simple chain off a leading constant.
+func chainTree(kinds []ir.OpKind) *ir.Tree {
 	fn := &ir.Function{Name: "w"}
 	tr := &ir.Tree{Fn: fn, Name: "w.t0"}
 	tr.NewBlock(-1, ir.NoReg, false)
@@ -242,15 +242,14 @@ func windowTree(kinds []ir.OpKind) (*ir.Function, *ir.Tree) {
 			prev = d
 		}
 	}
-	return fn, tr
+	return tr
 }
 
-// TestNCodeValidatorWindowNegative corrupts fusion plans in the three ways
-// the window-tiling invariants forbid — a gapped tiling (a window head that
-// does not consume its span), a window spanning an interior exit, and a
-// non-catalog member (a store, then a guarded op) smuggled into a window —
-// and requires the validator to name each.
-func TestNCodeValidatorWindowNegative(t *testing.T) {
+// TestNCodeValidatorFusionNegative corrupts fusion plans in the ways the
+// pair-tiling invariants forbid — a gapped tiling (a head that does not
+// consume its partner), and an exit, a store or a guarded op smuggled into
+// a plain pair — and requires the validator to name each.
+func TestNCodeValidatorFusionNegative(t *testing.T) {
 	compile := func(t *testing.T, tr *ir.Tree) *ncode.Prog {
 		t.Helper()
 		np, err := ncode.Compile(tr)
@@ -262,51 +261,46 @@ func TestNCodeValidatorWindowNegative(t *testing.T) {
 	}
 
 	t.Run("gapped-tiling", func(t *testing.T) {
-		_, tr := windowTree([]ir.OpKind{ir.OpConst, ir.OpAdd, ir.OpMul, ir.OpExit})
+		tr := chainTree([]ir.OpKind{ir.OpConst, ir.OpExit})
 		np := compile(t, tr)
-		if np.Plan[0] != ncode.FuseWin4 {
-			t.Fatalf("plan[0] = %d, want a width-4 window head", np.Plan[0])
+		if np.Plan[0] != ncode.FusePair {
+			t.Fatalf("plan[0] = %d, want a const+const pair head", np.Plan[0])
 		}
-		np.Plan[1] = ncode.FuseNone // the head no longer covers its span
+		np.Plan[1] = ncode.FuseNone // the head no longer covers its partner
 		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/fuse-unconsumed", "does not consume")
 	})
 
-	t.Run("window-spans-exit", func(t *testing.T) {
-		_, tr := windowTree([]ir.OpKind{ir.OpCmpEQ, ir.OpExit, ir.OpExit})
+	t.Run("exit-in-pair", func(t *testing.T) {
+		tr := chainTree([]ir.OpKind{ir.OpExit})
 		np := compile(t, tr)
-		// Claim a width-4 window over [const, cmp, exit, exit]: the first
-		// exit sits at an interior position.
-		np.Plan[0], np.Plan[1], np.Plan[2], np.Plan[3] =
-			ncode.FuseWin4, ncode.FuseConsumed, ncode.FuseConsumed, ncode.FuseConsumed
-		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/win-exit", "spans the exit")
+		// Claim a plain pair over [const, exit]: only a compare feeding the
+		// exit's guard may fuse with an exit.
+		np.Plan[0], np.Plan[1] = ncode.FusePair, ncode.FuseConsumed
+		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/fuse-illegal", "hot-pair catalog")
 	})
 
-	t.Run("store-in-window", func(t *testing.T) {
-		_, tr := windowTree([]ir.OpKind{ir.OpConst, ir.OpStore, ir.OpExit})
+	t.Run("store-in-pair", func(t *testing.T) {
+		tr := chainTree([]ir.OpKind{ir.OpStore, ir.OpExit})
 		np := compile(t, tr)
-		// Claim a width-3 window over [const, const, store]: the store's
-		// architectural side effect must never join a window.
-		np.Plan[0], np.Plan[1], np.Plan[2] =
-			ncode.FuseWin3, ncode.FuseConsumed, ncode.FuseConsumed
-		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/win-member", "non-member store")
+		// Claim a plain pair over [const, store]: the store's architectural
+		// side effect must never join a superinstruction.
+		np.Plan[0], np.Plan[1] = ncode.FusePair, ncode.FuseConsumed
+		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/fuse-illegal", "hot-pair catalog")
 	})
 
-	t.Run("guarded-op-in-window", func(t *testing.T) {
-		fn, tr := windowTree([]ir.OpKind{ir.OpConst, ir.OpAdd, ir.OpExit})
-		// Guard the add: a squashable op inside a window would execute
+	t.Run("guarded-op-in-pair", func(t *testing.T) {
+		tr := chainTree([]ir.OpKind{ir.OpConst, ir.OpAdd, ir.OpExit})
+		// Guard the add: a squashable op inside a pair would execute
 		// unconditionally, lifting its write out from under the guard.
-		var guarded *ir.Op
 		for _, op := range tr.Ops {
 			if op != nil && op.Kind == ir.OpAdd {
-				guarded = op
+				op.Guard = ir.Reg(0)
 			}
 		}
-		guarded.Guard = ir.Reg(0)
-		_ = fn
 		np := compile(t, tr)
-		np.Plan[0], np.Plan[1], np.Plan[2] =
-			ncode.FuseWin3, ncode.FuseConsumed, ncode.FuseConsumed
-		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/win-member", "non-member")
+		// Re-tile [const, const] [guarded add] as [const] [const, guarded add].
+		np.Plan[0], np.Plan[1], np.Plan[2] = ncode.FuseNone, ncode.FusePair, ncode.FuseConsumed
+		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/fuse-illegal", "hot-pair catalog")
 	})
 }
 
