@@ -85,6 +85,10 @@ type benchReport struct {
 	// simulation-work count, not a timing), and identical under both
 	// -trace backends; CI pins it against the committed baseline.
 	SimOps int64 `json:"sim_ops"`
+	// ProfileRuns counts profiling interpretations of untransformed
+	// programs (the input of PERFECT and SPEC). Deterministic at every
+	// -par, -exec, -trace and -tierup setting; CI pins it like sim_ops.
+	ProfileRuns int64 `json:"profile_runs"`
 	// Trace describes the trace-capture & replay backend's work.
 	Trace traceReport `json:"trace"`
 	// Exec describes the execution backend's work.
@@ -441,6 +445,7 @@ func run() int {
 		report.Prepares = st.Prepares
 		report.Measures = st.Measures
 		report.SimOps = st.SimOps
+		report.ProfileRuns = st.ProfileRuns
 		report.Trace = traceReport{
 			Mode:        *traceMode,
 			Captures:    st.TraceCaptures,

@@ -54,6 +54,11 @@ func (g *group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 type Stats struct {
 	// Prepares counts distinct compile+transform pipeline runs.
 	Prepares int64
+	// ProfileRuns counts profiling interpretations: runs of an
+	// untransformed program that collect the per-tree path frequencies and
+	// per-arc alias counts PERFECT and SPEC consume, including ladder
+	// retries on a lower execution backend.
+	ProfileRuns int64
 	// Measures counts distinct timed measurement cells (one cell prices all
 	// of its machine models at once). ReplayCells + InterpCells == Measures
 	// once the runner is idle.
@@ -117,6 +122,7 @@ func (r *Runner) Stats() Stats {
 	reqs := r.nTraceReqs.Load()
 	return Stats{
 		Prepares:         r.nPrepares.Load(),
+		ProfileRuns:      r.nProfileRuns.Load(),
 		Measures:         r.nMeasures.Load(),
 		SimOps:           r.nSimOps.Load(),
 		TraceCaptures:    captures,

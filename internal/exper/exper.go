@@ -113,6 +113,7 @@ type Runner struct {
 	failed map[string]*resilience.CellError // first failure per cell name
 
 	nPrepares       atomic.Int64
+	nProfileRuns    atomic.Int64
 	nMeasures       atomic.Int64
 	nSimOps         atomic.Int64
 	nTraceReqs      atomic.Int64
@@ -252,6 +253,9 @@ func (r *Runner) Prepared(b *bench.Benchmark, kind disamb.Kind, memLat int) (*di
 			// pipeline (or its profiling interpretation) is recovered into a
 			// structured CellError instead of killing the grid.
 			defer resilience.Recover(&err, b.Name, kind.String(), key.memLat, "prepare")
+			if kind == disamb.Spec || kind == disamb.Perfect {
+				r.nProfileRuns.Add(1) // the pipeline's own profiling run
+			}
 			return disamb.PrepareOpts(b.Source, disamb.Options{
 				Kind: kind, MemLat: memLat, SpD: r.Params,
 				// All of a benchmark's cells start from private clones of one
