@@ -7,6 +7,7 @@ package disamb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"specdis/internal/alias"
@@ -74,11 +75,11 @@ type Prepared struct {
 	BaseOps int
 	// Grafts counts applied tree grafts (0 unless Options.Graft is set).
 	Grafts int
-	// Trace is the execution trace recorded during the profiling run, when
-	// Options.Record was set and the pipeline's profiling interpretation is
-	// execution-equivalent to the final program (PERFECT: its transform
-	// removes arcs only, never ops). Nil otherwise; Capture materializes a
-	// trace for any prepared program.
+	// Trace is the execution trace the supplied base recorded during its
+	// profiling run (Options.Base), when that run is execution-equivalent
+	// to the final program (PERFECT: its transform removes arcs only, never
+	// ops). Nil otherwise; Capture materializes a trace for any prepared
+	// program.
 	Trace *trace.Trace
 	// MaxOps is Options.MaxOps, carried so Measure and Capture runs share
 	// the preparation's operation budget.
@@ -125,10 +126,13 @@ type Options struct {
 	// GraftRounds rounds (default 1).
 	Graft       *graft.Params
 	GraftRounds int
-	// Record asks the pipeline to piggyback an execution-trace recording on
-	// its profiling interpretation when that run is valid for the final
-	// program (see Prepared.Trace). It never adds an interpretation.
-	Record bool
+	// Base, when non-nil, is the profiled untransformed program the
+	// preparation starts from: the pipeline works on a private clone of
+	// Base.Prog with Base.Profile remapped onto it and runs no profiling
+	// interpretation of its own (src and Prog are ignored). Sweep drivers
+	// profile each program once and hand the result to every PERFECT and
+	// SPEC preparation. Incompatible with Graft.
+	Base *Profiled
 	// Verify runs the static verifier after every pipeline stage — lowering,
 	// grafting, static disambiguation, the SpD transform (including its
 	// per-application debug hook), and PERFECT's arc removal — failing the
@@ -193,40 +197,56 @@ func Prepare(src string, kind Kind, memLat int, params spd.Params) (*Prepared, e
 // PrepareOpts is Prepare with extension options.
 func PrepareOpts(src string, o Options) (*Prepared, error) {
 	kind, memLat := o.Kind, o.MemLat
+	if o.Base != nil && o.Graft != nil {
+		return nil, errors.New("disamb: Options.Base cannot be combined with Graft (grafting re-profiles the grafted program)")
+	}
+	if o.BCode == nil {
+		o.BCode = bcode.NewCache(o.ExecCounters)
+	}
+	if o.NCode == nil {
+		o.NCode = ncode.NewCache(o.ExecCounters)
+	}
 	prog := o.Prog
-	if prog == nil {
+	var baseProf *sim.Profile
+	switch {
+	case o.Base != nil:
+		prog, baseProf = o.Base.clone()
+	case prog == nil:
 		var err error
 		prog, err = compile.CompileOpts(src, compile.Options{Verify: o.Verify})
 		if err != nil {
 			return nil, err
 		}
 	}
-	p := &Prepared{Kind: kind, MemLat: memLat, Prog: prog, BaseOps: prog.OpCount(), MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp}
-	p.BCode = o.BCode
-	if p.BCode == nil {
-		p.BCode = bcode.NewCache(o.ExecCounters)
-	}
-	p.NCode = o.NCode
-	if p.NCode == nil {
-		p.NCode = ncode.NewCache(o.ExecCounters)
-	}
+	p := &Prepared{Kind: kind, MemLat: memLat, Prog: prog, BaseOps: prog.OpCount(), MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: o.BCode, NCode: o.NCode}
 	lat := machine.Infinite(memLat).LatencyFunc()
 
-	profileRun := func(rec *trace.Recorder) error {
-		// Content addressing makes the shared caches safe even for profiling
-		// runs that precede an op-level transformation (grafting rounds,
-		// SPEC's pre-SpD profile): the transformed trees re-key and
-		// recompile, while untouched trees keep hitting.
-		p.Profile = sim.NewProfile()
-		r := &sim.Runner{Prog: prog, SemLat: lat, Prof: p.Profile, Rec: rec, MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: p.BCode, NCode: p.NCode}
-		res, err := r.Run()
+	// profile runs one profiling interpretation of prog in place. Content
+	// addressing makes the shared code caches safe even for runs that
+	// precede an op-level transformation (grafting rounds, SPEC's pre-SpD
+	// profile): transformed trees re-key and recompile, untouched trees hit.
+	profile := func() (*Profiled, error) {
+		po := o
+		po.Prog = prog
+		b, err := NewProfiled("", po, false)
 		if err != nil {
-			return fmt.Errorf("%s profiling run: %w", kind, err)
+			return nil, fmt.Errorf("%s %w", kind, err)
 		}
-		p.Output = res.Output
-		if rec != nil {
-			p.Trace = rec.Finish(res.Ops, res.Committed)
+		return b, nil
+	}
+	// useProfile gives a PERFECT or SPEC pipeline its profile of the
+	// untransformed program: the supplied base's, remapped onto the private
+	// clone, or a run of its own.
+	useProfile := func() error {
+		if o.Base != nil {
+			p.Profile, p.Output = baseProf, o.Base.Output
+			return nil
 		}
+		b, err := profile()
+		if err != nil {
+			return err
+		}
+		p.Profile, p.Output = b.Profile, b.Output
 		return nil
 	}
 
@@ -236,10 +256,11 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 			rounds = 1
 		}
 		for i := 0; i < rounds; i++ {
-			if err := profileRun(nil); err != nil {
+			b, err := profile()
+			if err != nil {
 				return nil, err
 			}
-			res := graft.Program(prog, p.Profile, *o.Graft)
+			res := graft.Program(prog, b.Profile, *o.Graft)
 			p.Grafts += res.Grafts
 			if res.Grafts == 0 {
 				break
@@ -270,15 +291,14 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 		}
 
 	case Perfect:
+		if err := useProfile(); err != nil {
+			return nil, err
+		}
 		// The profiling run executes the exact stream of the final program:
 		// removeSuperfluous only deletes arcs, which execution never reads.
-		// Recording here makes the prepared trace free.
-		var rec *trace.Recorder
-		if o.Record {
-			rec = trace.NewRecorder()
-		}
-		if err := profileRun(rec); err != nil {
-			return nil, err
+		// A trace the base recorded is therefore this program's trace.
+		if o.Base != nil {
+			p.Trace = o.Base.Trace
 		}
 		removeSuperfluous(prog)
 		if o.Verify {
@@ -290,7 +310,7 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 	case Spec:
 		// The profiling run precedes the SpD transform, so its stream is NOT
 		// a trace of the final program; Capture records one afterwards.
-		if err := profileRun(nil); err != nil {
+		if err := useProfile(); err != nil {
 			return nil, err
 		}
 		p.Static = alias.ResolveProgram(prog)
@@ -445,8 +465,8 @@ func (o MeasureOpt) maxOps(p *Prepared) int64 {
 }
 
 // Capture returns an execution trace of the prepared program for replay
-// pricing: the trace piggybacked on the profiling run when one is valid
-// (see Options.Record), otherwise one fresh recording interpretation. The
+// pricing: the trace its base recorded when one is valid (see
+// Prepared.Trace), otherwise one fresh recording interpretation. The
 // recorded run is validated against the profiling output when one exists.
 func Capture(p *Prepared) (*trace.Trace, error) {
 	if p.Trace != nil {

@@ -1,6 +1,7 @@
 package disamb_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -124,6 +125,9 @@ void main() {
 // verify.CheckTree on every tree — plus the speculation-safety checks after
 // each stage). A verifier finding or an output divergence is a crash; inputs
 // that fail to compile, or blow the small operation budget, are skipped.
+// It also runs the shared-profile oracle: PERFECT and SPEC at both latencies
+// prepared from one recorded base must equal their self-profiled
+// preparations, and PERFECT's inherited trace must equal a fresh capture.
 func FuzzDisamb(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -172,6 +176,39 @@ func FuzzDisamb(f *testing.F) {
 				ref, haveRef = res.Output, true
 			} else if res.Output != ref {
 				t.Fatalf("%s output %q, want %q\n%s", kind, res.Output, ref, src)
+			}
+		}
+
+		// NAIVE ran this exact program within budget, so its profile must too.
+		base, err := disamb.NewProfiled(src, disamb.Options{MemLat: 2, MaxOps: 2_000_000}, true)
+		if err != nil {
+			t.Fatalf("base profile: %v\n%s", err, src)
+		}
+		for _, c := range []struct {
+			kind   disamb.Kind
+			memLat int
+		}{{disamb.Perfect, 2}, {disamb.Spec, 2}, {disamb.Spec, 6}} {
+			o := disamb.Options{Kind: c.kind, MemLat: c.memLat, SpD: params, Verify: true, MaxOps: 2_000_000}
+			fresh, err := disamb.PrepareOpts(src, o)
+			if err != nil {
+				t.Fatalf("%s@%d fresh: %v\n%s", c.kind, c.memLat, err, src)
+			}
+			o.Base = base
+			shared, err := disamb.PrepareOpts("", o)
+			if err != nil {
+				t.Fatalf("%s@%d shared: %v\n%s", c.kind, c.memLat, err, src)
+			}
+			if err := checkSharedMatchesFresh(shared, fresh); err != nil {
+				t.Fatalf("%s@%d: %v\n%s", c.kind, c.memLat, err, src)
+			}
+			if c.kind == disamb.Perfect {
+				tr, err := disamb.Capture(fresh)
+				if err != nil {
+					t.Fatalf("PERFECT capture: %v\n%s", err, src)
+				}
+				if shared.Trace == nil || !bytes.Equal(shared.Trace.Bytes(), tr.Bytes()) {
+					t.Fatalf("PERFECT's base trace differs from a dedicated capture\n%s", src)
+				}
 			}
 		}
 	})

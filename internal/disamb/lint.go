@@ -148,6 +148,10 @@ func Lint(src string, o LintOptions) (*LintReport, error) {
 	// theirs, and its profiled alias counts drive the removal audit.
 	var baseProg *ir.Program
 	var baseOutput string
+	// PERFECT and SPEC at every latency start from one profiling run of the
+	// untransformed program, made on first use.
+	var profiled *Profiled
+	var profileErr error
 
 	for _, kind := range Kinds {
 		for i, lat := range memLats {
@@ -155,7 +159,21 @@ func Lint(src string, o LintOptions) (*LintReport, error) {
 				break
 			}
 			cell := fmt.Sprintf("%s/mem%d", kind, lat)
-			p, err := PrepareOpts(src, Options{Kind: kind, MemLat: lat, SpD: params, Exec: o.Exec, MaxOps: maxOps, BCode: o.BCode, NCode: o.NCode})
+			po := Options{Kind: kind, MemLat: lat, SpD: params, Exec: o.Exec, MaxOps: maxOps, BCode: o.BCode, NCode: o.NCode}
+			var p *Prepared
+			var err error
+			if kind == Spec || kind == Perfect {
+				if profiled == nil && profileErr == nil {
+					profiled, profileErr = NewProfiled(src, po, false)
+				}
+				po.Base = profiled
+				if err = profileErr; err != nil {
+					err = fmt.Errorf("%s %w", kind, err)
+				}
+			}
+			if err == nil {
+				p, err = PrepareOpts(src, po)
+			}
 			if err != nil {
 				if cls := resilience.Classify(err); cls == resilience.ClassFuel || cls == resilience.ClassDeadline {
 					rep.Stats.Skipped++

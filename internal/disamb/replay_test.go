@@ -28,16 +28,20 @@ func TestReplayMeasureMatchesMeasure(t *testing.T) {
 		bm := bm
 		t.Run(bm.Name, func(t *testing.T) {
 			t.Parallel()
+			// The replay differential doubles as a verifier oracle.
+			base, err := disamb.NewProfiled(bm.Source, disamb.Options{MemLat: 2, Verify: true}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, kind := range disamb.Kinds {
 				p, err := disamb.PrepareOpts(bm.Source, disamb.Options{
-					Kind: kind, MemLat: 2, SpD: params, Record: kind == disamb.Perfect,
-					Verify: true, // the replay differential doubles as a verifier oracle
+					Kind: kind, MemLat: 2, SpD: params, Base: base, Verify: true,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}
 				if (p.Trace != nil) != (kind == disamb.Perfect) {
-					t.Fatalf("%s: piggybacked trace presence = %v", kind, p.Trace != nil)
+					t.Fatalf("%s: base trace presence = %v", kind, p.Trace != nil)
 				}
 				tr, err := disamb.Capture(p)
 				if err != nil {
@@ -67,20 +71,25 @@ func TestReplayMeasureMatchesMeasure(t *testing.T) {
 // TestTraceClassShared pins the execution-class property the exper trace
 // cache exploits: NAIVE, STATIC and PERFECT transform arcs only, so one
 // source's three preparations execute identical instruction streams and a
-// single trace (recorded by PERFECT's profiling run) replays against all
+// single trace (recorded by the base profiling run PERFECT starts from)
+// replays against all
 // three — at any memory latency, since none of them is latency-sensitive.
 func TestTraceClassShared(t *testing.T) {
 	params := spd.DefaultParams()
 	for _, bm := range []string{"fft", "quick", "queen"} {
 		src := bench.ByName(bm).Source
+		base, err := disamb.NewProfiled(src, disamb.Options{MemLat: 2}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		perfect, err := disamb.PrepareOpts(src, disamb.Options{
-			Kind: disamb.Perfect, MemLat: 2, SpD: params, Record: true,
+			Kind: disamb.Perfect, MemLat: 2, SpD: params, Base: base,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if perfect.Trace == nil {
-			t.Fatalf("%s: PERFECT did not piggyback a trace on its profiling run", bm)
+			t.Fatalf("%s: PERFECT did not inherit its base's trace", bm)
 		}
 		for _, kind := range []disamb.Kind{disamb.Naive, disamb.Static} {
 			if kind.LatencySensitive() {
@@ -125,7 +134,8 @@ func TestTraceClassShared(t *testing.T) {
 // replay backend: on random programs, across all four pipelines and several
 // machine sets, replay pricing must match interpretation bit for bit — SPEC
 // from its own capture (its profiling stream predates the transform), the
-// arc-only pipelines also from a PERFECT-recorded shared trace.
+// arc-only pipelines also from the shared trace PERFECT inherits from its
+// recording base.
 func TestRandomProgramsReplayEquivalence(t *testing.T) {
 	params := spd.DefaultParams()
 	params.MinGain = 0.01 // transform aggressively to stress the machinery
@@ -136,12 +146,16 @@ func TestRandomProgramsReplayEquivalence(t *testing.T) {
 	models := []machine.Model{machine.Infinite(2), machine.New(2, 6), machine.New(6, 2)}
 	for seed := int64(1); seed <= nSeeds; seed++ {
 		src := newProgGen(seed).generate()
+		base, err := disamb.NewProfiled(src, disamb.Options{MemLat: 2}, true)
+		if err != nil {
+			t.Fatalf("seed %d base: %v\n%s", seed, err, src)
+		}
 		var shared *disamb.Prepared
-		// PERFECT first so its recorded trace is available to the arc-only
+		// PERFECT first so its inherited trace is available to the arc-only
 		// pipelines below.
 		for _, kind := range []disamb.Kind{disamb.Perfect, disamb.Naive, disamb.Static, disamb.Spec} {
 			p, err := disamb.PrepareOpts(src, disamb.Options{
-				Kind: kind, MemLat: 2, SpD: params, Record: kind == disamb.Perfect,
+				Kind: kind, MemLat: 2, SpD: params, Base: base,
 			})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v\n%s", seed, kind, err, src)

@@ -215,14 +215,16 @@ func (r *Runner) warm(cells []warmCell) { r.warmAsync(cells)() }
 
 // warmAsync starts warming the given cells on the work-stealing pool and
 // returns a wait function that blocks until every cell has been run. With an
-// effective pool width of one it is a no-op (the caller's assembly loop does
-// the work itself; warming would just push every cell through the cache path
-// twice).
+// effective pool width of one it starts nothing (the caller's assembly loop
+// does the work itself; warming would just push every cell through the cache
+// path twice). At every width it marks the runner as sweeping, so base
+// profiles record the trace the sweep's PERFECT cells will replay.
 //
 // Callers may begin consuming cells before wait returns: the singleflight
 // layer under Prepared/Measure/Summary coalesces the consumer onto the
 // warming computation, so rows stream out as their cells complete.
 func (r *Runner) warmAsync(cells []warmCell) (wait func()) {
+	r.sweeping.Store(true)
 	workers := r.par()
 	if workers > len(cells) {
 		workers = len(cells)

@@ -104,10 +104,15 @@ type Runner struct {
 	Store *store.Store
 
 	base   group[string, *ir.Program]
+	bases  group[baseKey, *disamb.Profiled]
 	prep   group[prepKey, *disamb.Prepared]
 	meas   group[prepKey, *measCell]
 	traces group[prepKey, *trace.Trace]
 	sums   group[prepKey, *store.PrepSummary]
+
+	// sweeping is set once any experiment starts warming its cells: from
+	// then on base profiles also record the trace PERFECT will replay.
+	sweeping atomic.Bool
 
 	failMu sync.Mutex
 	failed map[string]*resilience.CellError // first failure per cell name
@@ -173,6 +178,13 @@ func (r *Runner) UseCaches(bc *bcode.Cache, nc *ncode.Cache) {
 		r.bcCache = bc
 		r.ncCache = nc
 	})
+}
+
+// baseKey names one base profile: a benchmark profiled on one execution
+// backend.
+type baseKey struct {
+	bench string
+	exec  sim.ExecMode
 }
 
 type prepKey struct {
@@ -253,23 +265,25 @@ func (r *Runner) Prepared(b *bench.Benchmark, kind disamb.Kind, memLat int) (*di
 			// pipeline (or its profiling interpretation) is recovered into a
 			// structured CellError instead of killing the grid.
 			defer resilience.Recover(&err, b.Name, kind.String(), key.memLat, "prepare")
-			if kind == disamb.Spec || kind == disamb.Perfect {
-				r.nProfileRuns.Add(1) // the pipeline's own profiling run
-			}
-			return disamb.PrepareOpts(b.Source, disamb.Options{
+			o := disamb.Options{
 				Kind: kind, MemLat: memLat, SpD: r.Params,
-				// All of a benchmark's cells start from private clones of one
-				// compilation; each pipeline mutates only its own clone.
-				Prog: base.Clone(),
-				// Under the replay backend, PERFECT's profiling run doubles as
-				// the capture run for the whole latency-insensitive trace class
-				// (see traceFor) at no extra interpretation.
-				Record: r.TraceReplay && kind == disamb.Perfect,
 				Verify: r.Verify,
 				MaxOps: r.Fuel, Ctx: r.Ctx,
 				Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
 				BCode: bcc, NCode: ncc,
-			})
+			}
+			if kind == disamb.Spec || kind == disamb.Perfect {
+				// PERFECT and SPEC at every latency start from private clones
+				// of the benchmark's one profiled program on this rung.
+				if o.Base, err = r.profiled(b, base, mode, kind, key.memLat); err != nil {
+					return nil, err
+				}
+			} else {
+				// All of a benchmark's cells start from private clones of one
+				// compilation; each pipeline mutates only its own clone.
+				o.Prog = base.Clone()
+			}
+			return disamb.PrepareOpts(b.Source, o)
 		}
 		p, err := attempt(r.Exec)
 		mode := r.Exec
@@ -298,6 +312,40 @@ func (r *Runner) Prepared(b *bench.Benchmark, kind disamb.Kind, memLat int) (*di
 	})
 }
 
+// profiled returns (profiling and caching) a benchmark's base profile on
+// one execution backend: one profiling interpretation of a clone of the
+// compiled program, shared by the benchmark's PERFECT and SPEC cells at
+// every latency. Keying on the backend gives each degradation-ladder rung
+// its own profiling run on its own engine.
+//
+// The run records an execution trace under the replay backend when the
+// runner is sweeping (some PERFECT cell will want the trace) or when the
+// requester is PERFECT, whose trace serves the NAIVE/STATIC/PERFECT class
+// (see traceFor). A lone SPEC request records nothing; if PERFECT later
+// needs a trace its base lacks, disamb.Capture takes a dedicated one.
+//
+// The run is a cell boundary: panics are recovered, and a failure is
+// re-attributed to each requesting cell, so every cell that depended on a
+// failed base fails, and is counted, under its own name.
+func (r *Runner) profiled(b *bench.Benchmark, prog *ir.Program, mode sim.ExecMode, kind disamb.Kind, cellLat int) (*disamb.Profiled, error) {
+	record := r.TraceReplay && (r.sweeping.Load() || !kind.LatencySensitive())
+	base, err := r.bases.Do(baseKey{b.Name, mode}, func() (base *disamb.Profiled, err error) {
+		defer resilience.Recover(&err, b.Name, kind.String(), cellLat, "prepare")
+		r.nProfileRuns.Add(1)
+		bcc, ncc := r.caches()
+		return disamb.NewProfiled(b.Source, disamb.Options{
+			Prog: prog.Clone(), MemLat: MemLats[0],
+			MaxOps: r.Fuel, Ctx: r.Ctx,
+			Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
+			BCode: bcc, NCode: ncc,
+		}, record)
+	})
+	if err != nil {
+		return nil, reattribute(err, b.Name, kind, cellLat, "prepare")
+	}
+	return base, nil
+}
+
 // compiled returns (compiling and caching) a benchmark's base program. Every
 // preparation cell of the benchmark starts from a private Clone of it, so the
 // source is lexed and lowered once per benchmark instead of once per cell.
@@ -318,8 +366,8 @@ func (r *Runner) compiled(b *bench.Benchmark) (*ir.Program, error) {
 // schedules, so all latency-insensitive pipelines of a benchmark share one
 // trace: NAIVE, STATIC and PERFECT run the identical operation stream (their
 // disambiguators touch arcs only). That class is keyed under PERFECT, whose
-// preparation already interprets the program for its profile — recording
-// there makes the shared trace free (disamb.Options.Record). SPEC's
+// base profiling run records it (see profiled), so the shared trace costs no
+// interpretation of its own. SPEC's
 // transformed programs get their own per-latency traces, captured by one
 // interpretation each (disamb.Capture). TestTraceClassShared pins the
 // class-sharing invariant.

@@ -55,6 +55,13 @@ func TestParallelDeterminism(t *testing.T) {
 	if seq.Stats() != par.Stats() {
 		t.Errorf("work counters differ: sequential %+v, parallel %+v", seq.Stats(), par.Stats())
 	}
+	// One profiling interpretation per benchmark, shared by PERFECT and
+	// SPEC at both latencies, at every pool width.
+	for _, r := range []*exper.Runner{seq, par} {
+		if got, want := r.Stats().ProfileRuns, int64(len(r.Benchmarks)); got != want {
+			t.Errorf("Par %d: %d profiling runs, want %d (one per benchmark)", r.Par, got, want)
+		}
+	}
 }
 
 // TestPrepareAllWarmsEveryCell checks PrepareAll builds each distinct

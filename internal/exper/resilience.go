@@ -59,6 +59,20 @@ func (r *Runner) failCell(err error, b string, kind disamb.Kind, memLat int, sta
 	return ce
 }
 
+// reattribute re-homes a failure shared through a singleflight group (a
+// base profile several cells depend on) onto the requesting cell, keeping
+// its class, cause and stack, so each dependent cell fails under its own
+// name.
+func reattribute(err error, b string, kind disamb.Kind, memLat int, stage string) error {
+	var ce *resilience.CellError
+	if !errors.As(err, &ce) {
+		return err
+	}
+	own := *ce
+	own.Benchmark, own.Pipeline, own.MemLat, own.Stage = b, kind.String(), memLat, stage
+	return &own
+}
+
 // Failures returns every distinct failed cell, sorted by cell name. Empty on
 // a clean run.
 func (r *Runner) Failures() []*resilience.CellError {
