@@ -2,9 +2,14 @@ package exper
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"specdis/internal/disamb"
+	"specdis/internal/resilience"
 )
 
 // TestRunStealingRunsEveryTaskOnce drives the scheduler with heavily skewed
@@ -180,5 +185,30 @@ func TestWarmCellCost(t *testing.T) {
 		if lc.cost() <= sc.cost() {
 			t.Errorf("longer source cost %d not above shorter %d", lc.cost(), sc.cost())
 		}
+	}
+}
+
+// TestReattributeKeepsCause checks that a failure shared through the base
+// group is re-homed onto each requesting cell with its class, cause and
+// stack intact, and that errors without a cell identity pass through.
+func TestReattributeKeepsCause(t *testing.T) {
+	cause := errors.New("boom")
+	orig := &resilience.CellError{
+		Benchmark: "moment", Pipeline: "SPEC", MemLat: 2, Stage: "prepare",
+		Class: resilience.ClassPanic, Err: cause, Stack: []byte("stack"),
+	}
+	err := reattribute(fmt.Errorf("wrapped: %w", orig), "moment", disamb.Perfect, 0, "prepare")
+	var ce *resilience.CellError
+	if !errors.As(err, &ce) || ce == orig {
+		t.Fatalf("err = %v, want a fresh CellError", err)
+	}
+	if ce.Cell() != "moment/PERFECT/m0" || ce.Class != resilience.ClassPanic || ce.Err != cause || string(ce.Stack) != "stack" {
+		t.Fatalf("reattributed = %+v", ce)
+	}
+	if orig.Cell() != "moment/SPEC/m2" {
+		t.Fatalf("original identity changed to %s", orig.Cell())
+	}
+	if err := reattribute(cause, "moment", disamb.Spec, 6, "prepare"); err != cause {
+		t.Fatalf("plain error rewritten: %v", err)
 	}
 }

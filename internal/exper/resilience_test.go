@@ -260,3 +260,34 @@ func TestCleanRunHasNoResilienceFootprint(t *testing.T) {
 		t.Fatalf("clean run registered failures: %v", r.Failures())
 	}
 }
+
+// TestSharedBaseFailureIsPerCell checks that a failed base profile fails
+// every PERFECT and SPEC cell that depends on it under the cell's own name,
+// after a single profiling run (fuel exhaustion is not retried).
+func TestSharedBaseFailureIsPerCell(t *testing.T) {
+	r, b := faulted(nil)
+	r.Fuel = 500
+	cells := []struct {
+		kind   disamb.Kind
+		memLat int
+		name   string
+	}{
+		{disamb.Spec, 2, resilience.CellName("moment", "SPEC", 2)},
+		{disamb.Spec, 6, resilience.CellName("moment", "SPEC", 6)},
+		{disamb.Perfect, 2, resilience.CellName("moment", "PERFECT", 0)},
+	}
+	for _, c := range cells {
+		_, err := r.Prepared(b, c.kind, c.memLat)
+		var ce *resilience.CellError
+		if !errors.As(err, &ce) || ce.Class != resilience.ClassFuel || ce.Cell() != c.name || ce.Stage != "prepare" {
+			t.Fatalf("%s: err = %v, want a fuel CellError of its own", c.name, err)
+		}
+	}
+	st := r.Stats()
+	if st.ProfileRuns != 1 || st.CellFailures != 3 || st.FuelExhausted != 3 {
+		t.Fatalf("stats = %+v, want 1 profiling run and 3 fuel failures", st)
+	}
+	if fails := r.Failures(); len(fails) != 3 {
+		t.Fatalf("Failures() = %v, want one per cell", fails)
+	}
+}

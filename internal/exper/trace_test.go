@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"specdis/internal/bench"
+	"specdis/internal/disamb"
 	"specdis/internal/exper"
 )
 
@@ -122,6 +124,40 @@ func TestStatsWhileWarming(t *testing.T) {
 		default:
 			check(r.Stats())
 			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// TestBaseRecordsOnlyWhenUseful pins when a base profile records a trace: a
+// lone SPEC request (the service's common case) never does, a PERFECT
+// request does, and so does any base made while an experiment sweeps —
+// even a SPEC-only one such as Table 6-3, whose base PERFECT reuses later.
+func TestBaseRecordsOnlyWhenUseful(t *testing.T) {
+	b := bench.ByName("fft")
+	for _, c := range []struct {
+		name  string
+		first func(r *exper.Runner) error
+		trace bool
+	}{
+		{"lone SPEC", func(r *exper.Runner) error { _, err := r.Measure(b, disamb.Spec, 2); return err }, false},
+		{"lone PERFECT", func(r *exper.Runner) error { return nil }, true},
+		{"SPEC-only sweep", func(r *exper.Runner) error { _, err := r.Table63(); return err }, true},
+	} {
+		r := exper.New()
+		r.Par = 1
+		r.Benchmarks = []*bench.Benchmark{b}
+		if err := c.first(r); err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.Prepared(b, disamb.Perfect, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (p.Trace != nil) != c.trace {
+			t.Errorf("%s: PERFECT base trace present = %v, want %v", c.name, p.Trace != nil, c.trace)
+		}
+		if got := r.Stats().ProfileRuns; got != 1 {
+			t.Errorf("%s: %d profiling runs, want 1", c.name, got)
 		}
 	}
 }

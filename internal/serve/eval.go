@@ -127,12 +127,14 @@ type evalPlan struct {
 }
 
 // key returns the single-flight identity: two requests with equal keys
-// compute the identical deterministic result. The deadline is excluded — it
+// compute the identical deterministic result. The benchmark name is part of
+// it because the result echoes it: a named request and a source request for
+// the same program must not share a reply. The deadline is excluded — it
 // bounds the computation, it doesn't change it.
 func (p *evalPlan) key() string {
 	h := sha256.Sum256([]byte(p.bench.Source))
-	return fmt.Sprintf("%s|%s|%d|%s|%d|%t",
-		hex.EncodeToString(h[:8]), p.kind, p.memLat, p.exec, p.fuel, p.lint)
+	return fmt.Sprintf("%s|%s|%s|%d|%s|%d|%t",
+		p.bench.Name, hex.EncodeToString(h[:8]), p.kind, p.memLat, p.exec, p.fuel, p.lint)
 }
 
 // plan validates the request against the server's limits.

@@ -517,3 +517,57 @@ func TestDedupSharesResult(t *testing.T) {
 		t.Log("no dedup observed (scheduling fluke); flight semantics covered by TestFlightGroup")
 	}
 }
+
+// TestNamedAndSourceFlightsDistinct pins the dedup key's identity: a named
+// request and a source request for the same program compute the same cycles
+// but echo different bench names, so they must never share a flight. The
+// named request's flight is held open by hand, as if in progress; the
+// source request must lead its own evaluation and reply with its own name.
+func TestNamedAndSourceFlightsDistinct(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	b := bench.ByName("quick")
+	namedReq := EvalRequest{Bench: b.Name, Pipeline: "NAIVE", MemLat: 2}
+	sourceReq := EvalRequest{Source: b.Source, Pipeline: "NAIVE", MemLat: 2}
+	named, aerr := s.plan(&namedReq)
+	if aerr != nil {
+		t.Fatal(aerr.Msg)
+	}
+	source, aerr := s.plan(&sourceReq)
+	if aerr != nil {
+		t.Fatal(aerr.Msg)
+	}
+	if named.key() == source.key() {
+		t.Fatalf("named and source plans share the dedup key %q", named.key())
+	}
+
+	key := named.key()
+	f, leader := s.flights.join(key)
+	if !leader {
+		t.Fatal("held flight is not a leader")
+	}
+	benchOf := func(resp *evalResp) string {
+		var res EvalResult
+		if err := json.Unmarshal(resp.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res.Bench
+	}
+	status, _, resp := postEval(t, ts.URL, sourceReq)
+	if status != http.StatusOK {
+		t.Fatalf("source request: status %d (%+v)", status, resp.Error)
+	}
+	if got := benchOf(resp); got != source.bench.Name {
+		t.Fatalf("source reply names bench %q, want %q", got, source.bench.Name)
+	}
+	f.err = &apiError{Status: http.StatusServiceUnavailable, Class: "test", Msg: "held flight released"}
+	s.flights.finish(key, f)
+	s.flights.leave(key, f)
+
+	status, _, resp = postEval(t, ts.URL, namedReq)
+	if status != http.StatusOK {
+		t.Fatalf("named request: status %d (%+v)", status, resp.Error)
+	}
+	if got := benchOf(resp); got != b.Name {
+		t.Fatalf("named reply names bench %q, want %q", got, b.Name)
+	}
+}
