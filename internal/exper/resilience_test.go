@@ -291,3 +291,21 @@ func TestSharedBaseFailureIsPerCell(t *testing.T) {
 		t.Fatalf("Failures() = %v, want one per cell", fails)
 	}
 }
+
+// TestCallDepthIsNotRetried checks that unbounded recursion fails its cells
+// with a typed call-depth error on the first rung: the depth budget is a
+// property of the program, so the backend ladder must not re-run it.
+func TestCallDepthIsNotRetried(t *testing.T) {
+	b := &bench.Benchmark{Name: "recurse", Suite: "adhoc", Source: "int f(int n) { return f(n + 1); }\nvoid main() { print(f(0)); }"}
+	r := exper.New()
+	r.Benchmarks = []*bench.Benchmark{b}
+	for _, kind := range disamb.Kinds {
+		_, err := r.Measure(b, kind, 2)
+		if !errors.Is(err, resilience.ErrCallDepth) || resilience.Classify(err) != resilience.ClassCallDepth {
+			t.Fatalf("%s: err = %v, want a call-depth failure", kind, err)
+		}
+	}
+	if st := r.Stats(); st.NCodeFallbacks != 0 || st.BCodeFallbacks != 0 || st.ProfileRuns != 1 {
+		t.Fatalf("stats = %+v, want no ladder rungs and one profiling run", st)
+	}
+}

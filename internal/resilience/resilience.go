@@ -39,6 +39,12 @@ var (
 	// explicit cancellation.
 	ErrDeadline = errors.New("deadline exceeded")
 
+	// ErrCallDepth marks an interpretation whose call nesting exceeded the
+	// simulator's depth budget (sim.MaxCallDepth) — the bound that turns
+	// unbounded recursion into a typed failure instead of a fatal Go stack
+	// overflow.
+	ErrCallDepth = errors.New("call depth exceeded")
+
 	// ErrMissingSchedule marks a pricing attempt against a plan that has no
 	// schedule for a tree the program executed (formerly a process-killing
 	// panic in the simulator and the replayer).
@@ -68,6 +74,8 @@ const (
 	ClassCorruptTrace
 	// ClassMissingSchedule is a pricing plan lacking a tree's schedule.
 	ClassMissingSchedule
+	// ClassCallDepth is call nesting beyond the simulator's depth budget.
+	ClassCallDepth
 )
 
 func (c Class) String() string {
@@ -84,6 +92,8 @@ func (c Class) String() string {
 		return "corrupt-trace"
 	case ClassMissingSchedule:
 		return "missing-schedule"
+	case ClassCallDepth:
+		return "call-depth"
 	}
 	return fmt.Sprintf("class(%d)", int(c))
 }
@@ -102,6 +112,8 @@ func Classify(err error) Class {
 		return ClassDeadline
 	case errors.Is(err, ErrMissingSchedule):
 		return ClassMissingSchedule
+	case errors.Is(err, ErrCallDepth):
+		return ClassCallDepth
 	case errors.Is(err, trace.ErrCorrupt):
 		return ClassCorruptTrace
 	}
@@ -113,9 +125,9 @@ func Classify(err error) Class {
 }
 
 // Retryable reports whether a failure of this class is worth retrying on a
-// different execution backend. Fuel and deadline failures are determined by
-// the program and the budget, not the engine; missing schedules and corrupt
-// traces have their own dedicated recovery rungs.
+// different execution backend. Fuel, call-depth and deadline failures are
+// determined by the program and the budget, not the engine; missing
+// schedules and corrupt traces have their own dedicated recovery rungs.
 func (c Class) Retryable() bool {
 	return c == ClassPanic || c == ClassUnknown
 }

@@ -47,16 +47,16 @@ func errorFor(err error) *apiError {
 	if errors.As(err, &ce) {
 		status := http.StatusInternalServerError
 		switch ce.Class {
-		case resilience.ClassFuel:
+		case resilience.ClassFuel, resilience.ClassCallDepth:
 			status = http.StatusUnprocessableEntity
 		case resilience.ClassDeadline:
 			status = http.StatusGatewayTimeout
 		}
 		return &apiError{Status: status, Class: ce.Class.String(), Msg: ce.Err.Error(), Cell: ce.Cell()}
 	}
-	switch resilience.Classify(err) {
-	case resilience.ClassFuel:
-		return &apiError{Status: http.StatusUnprocessableEntity, Class: "fuel", Msg: err.Error()}
+	switch cls := resilience.Classify(err); cls {
+	case resilience.ClassFuel, resilience.ClassCallDepth:
+		return &apiError{Status: http.StatusUnprocessableEntity, Class: cls.String(), Msg: err.Error()}
 	case resilience.ClassDeadline:
 		return &apiError{Status: http.StatusGatewayTimeout, Class: "deadline", Msg: err.Error()}
 	}

@@ -235,6 +235,26 @@ func TestEvalGiantGlobal(t *testing.T) {
 	}
 }
 
+// TestEvalDeepRecursion pins the call-depth budget over HTTP: a two-line
+// unbounded recursion — which used to kill the daemon with a fatal Go stack
+// overflow — is a 422 call-depth error on every engine and pipeline, and
+// the server stays live.
+func TestEvalDeepRecursion(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := "int f(int n) { return f(n + 1); }\nvoid main() { print(f(0)); }"
+	for _, exec := range []string{"native", "bcode", "tree"} {
+		for _, pipe := range []string{"NAIVE", "SPEC", "PERFECT"} {
+			status, _, resp := postEval(t, ts.URL, EvalRequest{Source: src, Pipeline: pipe, MemLat: 2, Exec: exec})
+			if status != http.StatusUnprocessableEntity || resp.Error == nil || resp.Error.Class != "call-depth" {
+				t.Fatalf("%s/%s: status %d, error %+v; want 422 call-depth", exec, pipe, status, resp.Error)
+			}
+		}
+	}
+	if status, _, body := get(t, ts.URL+"/healthz"); status != http.StatusOK {
+		t.Errorf("/healthz after deep recursion: status %d (%s)", status, body)
+	}
+}
+
 // TestEvalBudgets pins the budget taxonomy: a starved fuel budget is the
 // client's fault (422, class fuel, cell-attributed), a starved deadline a
 // 504 — typed failures, never hangs or crashes.

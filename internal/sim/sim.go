@@ -105,6 +105,8 @@ type Result struct {
 	Committed int64
 	// Exit is main's return value.
 	Exit ir.Value
+	// Depth is the deepest call nesting the run reached (main is 1).
+	Depth int
 }
 
 // Profile accumulates execution statistics during a profiling run: per-tree
@@ -135,6 +137,14 @@ func (pr *Profile) TreeExecCount(t *ir.Tree) int64 { return pr.TreeExec[t] }
 
 // DefaultMaxOps bounds the dynamic operation count of one run.
 const DefaultMaxOps = 4_000_000_000
+
+// MaxCallDepth bounds a run's call nesting. Every engine and trace capture
+// recurse through Runner.call, one Go frame chain per MiniC call, so
+// unbounded MiniC recursion would otherwise overflow the goroutine stack —
+// a fatal error no recover can contain. The suite peaks at a depth of 19
+// (TestSuiteCallDepth pins the headroom); at this limit a run's goroutine
+// stack stays within a few megabytes on every engine.
+const MaxCallDepth = 10_000
 
 // Runner executes one program. A Runner is single-use per Run call but may
 // be reused; memory and output reset each run.
@@ -200,6 +210,8 @@ type Runner struct {
 	ops        int64
 	committed  int64
 	ctxCheckAt int64 // next ops threshold at which Ctx is polled
+	depth      int   // current call nesting
+	maxDepth   int   // deepest call nesting so far
 	times      []int64
 	ctxes      []*treeCtx    // dense, indexed by tree PIdx
 	planTabs   [][]planEntry // per plan: dense comp tables by tree PIdx
@@ -542,6 +554,7 @@ func (r *Runner) Run() (*Result, error) {
 	r.ops = 0
 	r.committed = 0
 	r.ctxCheckAt = 0
+	r.depth, r.maxDepth = 0, 0
 	if r.Ctx != nil {
 		if err := r.Ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: run canceled before start: %w (%w)", resilience.ErrDeadline, err)
@@ -618,6 +631,7 @@ func (r *Runner) Run() (*Result, error) {
 		Ops:       r.ops,
 		Committed: r.committed,
 		Exit:      exit,
+		Depth:     r.maxDepth,
 	}, nil
 }
 
@@ -672,8 +686,18 @@ func (r *Runner) putArgs(a []ir.Value) {
 // resolved by the caller (treeCtx.calleeIdx) so call framing never hashes a
 // function name.
 func (r *Runner) call(fn *ir.Function, fnOrd int, args []ir.Value) (ir.Value, error) {
+	if r.depth >= MaxCallDepth {
+		return ir.Value{}, fmt.Errorf("sim: call depth exceeds %d in %s: %w", MaxCallDepth, fn.Name, resilience.ErrCallDepth)
+	}
+	r.depth++
+	if r.depth > r.maxDepth {
+		r.maxDepth = r.depth
+	}
 	regs := r.getFrame(fn.NumRegs)
-	defer r.putFrame(regs)
+	defer func() {
+		r.depth--
+		r.putFrame(regs)
+	}()
 	for i, p := range fn.Params {
 		regs[p] = args[i]
 	}
