@@ -207,10 +207,14 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 		o.NCode = ncode.NewCache(o.ExecCounters)
 	}
 	prog := o.Prog
-	var baseProf *sim.Profile
+	// own is this preparation's profile of its untransformed program: a
+	// private clone of the supplied base, or, for PERFECT and SPEC without
+	// one, a profiling run of its own made when first needed.
+	var own *Profiled
 	switch {
 	case o.Base != nil:
-		prog, baseProf = o.Base.clone()
+		own = o.Base.clone()
+		prog = own.Prog
 	case prog == nil:
 		var err error
 		prog, err = compile.CompileOpts(src, compile.Options{Verify: o.Verify})
@@ -234,19 +238,14 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 		}
 		return b, nil
 	}
-	// useProfile gives a PERFECT or SPEC pipeline its profile of the
-	// untransformed program: the supplied base's, remapped onto the private
-	// clone, or a run of its own.
 	useProfile := func() error {
-		if o.Base != nil {
-			p.Profile, p.Output = baseProf, o.Base.Output
-			return nil
+		if own == nil {
+			var err error
+			if own, err = profile(); err != nil {
+				return err
+			}
 		}
-		b, err := profile()
-		if err != nil {
-			return err
-		}
-		p.Profile, p.Output = b.Profile, b.Output
+		p.Profile, p.Output = own.Profile, own.Output
 		return nil
 	}
 
@@ -296,10 +295,8 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 		}
 		// The profiling run executes the exact stream of the final program:
 		// removeSuperfluous only deletes arcs, which execution never reads.
-		// A trace the base recorded is therefore this program's trace.
-		if o.Base != nil {
-			p.Trace = o.Base.Trace
-		}
+		// A trace that run recorded is therefore this program's trace.
+		p.Trace = own.Trace
 		removeSuperfluous(prog)
 		if o.Verify {
 			if err := verifyStage(prog, "superfluous-arc removal", nil); err != nil {

@@ -65,30 +65,34 @@ func NewProfiled(src string, o Options, record bool) (*Profiled, error) {
 }
 
 // clone returns a private copy of the profiled program with the profile
-// remapped onto it. Profile maps are keyed by tree and op pointers; a clone
-// keeps every function's tree order and every tree's op order, so the
-// remap walks both programs in lockstep.
-func (b *Profiled) clone() (*ir.Program, *sim.Profile) {
-	prog := b.Prog.Clone()
-	prof := &sim.Profile{
-		TreeExec: make(map[*ir.Tree]int64, len(b.Profile.TreeExec)),
-		ExitExec: make(map[*ir.Op]int64, len(b.Profile.ExitExec)),
+// remapped onto it; the read-only trace is shared. Profile maps are keyed by
+// tree and op pointers; a clone keeps every function's tree order and every
+// tree's op order, so the remap walks both programs in lockstep.
+func (b *Profiled) clone() *Profiled {
+	c := &Profiled{
+		Prog: b.Prog.Clone(),
+		Profile: &sim.Profile{
+			TreeExec: make(map[*ir.Tree]int64, len(b.Profile.TreeExec)),
+			ExitExec: make(map[*ir.Op]int64, len(b.Profile.ExitExec)),
+		},
+		Output: b.Output,
+		Trace:  b.Trace,
 	}
 	for _, name := range b.Prog.Order {
-		clones := prog.Funcs[name].Trees
+		clones := c.Prog.Funcs[name].Trees
 		for i, t := range b.Prog.Funcs[name].Trees {
 			n, ok := b.Profile.TreeExec[t]
 			if !ok {
 				continue // never executed, so none of its exits did either
 			}
 			ct := clones[i]
-			prof.TreeExec[ct] = n
+			c.Profile.TreeExec[ct] = n
 			for j, op := range t.Ops {
 				if n, ok := b.Profile.ExitExec[op]; ok {
-					prof.ExitExec[ct.Ops[j]] = n
+					c.Profile.ExitExec[ct.Ops[j]] = n
 				}
 			}
 		}
 	}
-	return prog, prof
+	return c
 }

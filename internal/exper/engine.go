@@ -68,7 +68,7 @@ type Stats struct {
 	// (replay backend). The two backends report identical totals.
 	SimOps int64
 	// TraceCaptures counts distinct execution traces materialized, whether
-	// piggybacked on a profiling run or captured by a dedicated recording
+	// recorded by a base profiling run or captured by a dedicated recording
 	// interpretation. TraceHits counts trace requests served from the cache
 	// instead.
 	TraceCaptures, TraceHits int64
