@@ -57,6 +57,33 @@ func TestCallDepthAllEngines(t *testing.T) {
 	}
 }
 
+// traceDepth returns a recorded run's deepest call nesting (main is 1),
+// replaying its call/return framing.
+func traceDepth(t *testing.T, tr *trace.Trace) int {
+	t.Helper()
+	rd := trace.NewReader(tr)
+	depth, peak := 0, 0
+	var ev trace.Event
+	for {
+		ok, err := rd.Next(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return peak
+		}
+		switch ev.Kind {
+		case trace.KindCall:
+			depth++
+			if depth > peak {
+				peak = depth
+			}
+		case trace.KindRet:
+			depth--
+		}
+	}
+}
+
 // TestSuiteCallDepth pins the depth budget's headroom: every suite program's
 // deepest call nesting is at least a hundred times below sim.MaxCallDepth.
 func TestSuiteCallDepth(t *testing.T) {
@@ -66,15 +93,17 @@ func TestSuiteCallDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (&sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc()}).Run()
+		rec := trace.NewRecorder()
+		res, err := (&sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Rec: rec}).Run()
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if res.Depth < 1 {
-			t.Fatalf("%s: depth %d, want at least main's frame", b.Name, res.Depth)
+		d := traceDepth(t, rec.Finish(res.Ops, res.Committed))
+		if d < 1 {
+			t.Fatalf("%s: depth %d, want at least main's frame", b.Name, d)
 		}
-		if res.Depth > peak {
-			peak = res.Depth
+		if d > peak {
+			peak = d
 		}
 	}
 	t.Logf("suite peak call depth %d, budget %d", peak, sim.MaxCallDepth)

@@ -105,8 +105,6 @@ type Result struct {
 	Committed int64
 	// Exit is main's return value.
 	Exit ir.Value
-	// Depth is the deepest call nesting the run reached (main is 1).
-	Depth int
 }
 
 // Profile accumulates execution statistics during a profiling run: per-tree
@@ -210,8 +208,7 @@ type Runner struct {
 	ops        int64
 	committed  int64
 	ctxCheckAt int64 // next ops threshold at which Ctx is polled
-	depth      int   // current call nesting
-	maxDepth   int   // deepest call nesting so far
+	depth      int   // current call nesting, bounded by MaxCallDepth
 	times      []int64
 	ctxes      []*treeCtx    // dense, indexed by tree PIdx
 	planTabs   [][]planEntry // per plan: dense comp tables by tree PIdx
@@ -554,7 +551,7 @@ func (r *Runner) Run() (*Result, error) {
 	r.ops = 0
 	r.committed = 0
 	r.ctxCheckAt = 0
-	r.depth, r.maxDepth = 0, 0
+	r.depth = 0
 	if r.Ctx != nil {
 		if err := r.Ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: run canceled before start: %w (%w)", resilience.ErrDeadline, err)
@@ -631,7 +628,6 @@ func (r *Runner) Run() (*Result, error) {
 		Ops:       r.ops,
 		Committed: r.committed,
 		Exit:      exit,
-		Depth:     r.maxDepth,
 	}, nil
 }
 
@@ -690,9 +686,6 @@ func (r *Runner) call(fn *ir.Function, fnOrd int, args []ir.Value) (ir.Value, er
 		return ir.Value{}, fmt.Errorf("sim: call depth exceeds %d in %s: %w", MaxCallDepth, fn.Name, resilience.ErrCallDepth)
 	}
 	r.depth++
-	if r.depth > r.maxDepth {
-		r.maxDepth = r.depth
-	}
 	regs := r.getFrame(fn.NumRegs)
 	defer func() {
 		r.depth--
