@@ -60,6 +60,9 @@ func run() int {
 		CacheLimit:     *cacheLimit,
 		TierUp:         *tierUp,
 	}
+	if *tierUp <= 0 {
+		cfg.TierUp = -1 // Config.TierUp 0 would mean the default threshold
+	}
 	if _, err := sim.ParseExecMode(*execMode); err != nil {
 		log.Printf("-exec: %v", err)
 		return 2

@@ -50,7 +50,6 @@ type Counters struct {
 type Cache struct {
 	mu    sync.Mutex
 	ctrs  *Counters
-	back  Backing
 	ents  map[string]*list.Element // nil Prog: compile declined; tree runs on the walker
 	order *list.List               // front = most recently used (holds *cacheEnt)
 	limit int                      // max entries; 0 = unbounded
@@ -63,37 +62,16 @@ type cacheEnt struct {
 	prog *Prog
 }
 
-// Backing is a second-level compiled-program store behind the in-memory
-// cache — the persistent artifact store (internal/store) in production. A
-// loaded program is served exactly like an in-memory hit; compiled programs
-// are offered to the backing for later processes. Implementations must be
-// safe for concurrent use and must return only programs encoded from the
-// same execution content as execKey (content addressing makes the key the
-// whole contract). Load receives the requesting tree so the implementation
-// can validate the decoded program against it (the persistent store runs
-// the translation validator, internal/verify.CheckBCode, and turns a
-// failed validation into a miss).
-type Backing interface {
-	// Load returns the program persisted under the exec key, or false.
-	Load(t *ir.Tree, execKey []byte) (*Prog, bool)
-	// Store persists a freshly compiled program under the exec key.
-	Store(execKey []byte, p *Prog)
-}
-
 // NewCache returns an empty cache. ctrs may be nil.
 func NewCache(ctrs *Counters) *Cache {
 	return &Cache{ctrs: ctrs, ents: map[string]*list.Element{}, order: list.New()}
 }
 
-// SetBacking attaches a second-level store consulted on in-memory misses.
-// Must be called before the cache is shared across goroutines.
-func (c *Cache) SetBacking(b Backing) { c.back = b }
-
 // SetLimit bounds the cache to n entries, evicting least-recently-used
 // compilations over capacity (0 restores the unbounded default). Long-running
 // multi-tenant services set a limit so one pathological tenant cannot grow
-// the shared cache without bound; an evicted tree simply recompiles (or
-// reloads from the backing store) on its next execution. Safe to call at any
+// the shared cache without bound; an evicted tree simply recompiles on its
+// next execution. Safe to call at any
 // time, including while the cache is shared across goroutines.
 func (c *Cache) SetLimit(n int) {
 	c.mu.Lock()
@@ -124,24 +102,8 @@ func (c *Cache) Get(t *ir.Tree) *Prog {
 		}
 		return el.Value.(*cacheEnt).prog
 	}
-	if c.back != nil {
-		if p, ok := c.back.Load(t, c.key); ok {
-			// Bind the loaded instruction stream to the requesting tree —
-			// the same aliasing an in-memory hit performs — and serve it as
-			// a cache hit: nothing was compiled.
-			p.Tree = t
-			c.insertLocked(string(c.key), p)
-			if c.ctrs != nil {
-				c.ctrs.Hits.Add(1)
-			}
-			return p
-		}
-	}
 	p := c.compile(t)
 	c.insertLocked(string(c.key), p)
-	if p != nil && c.back != nil {
-		c.back.Store(c.key, p)
-	}
 	return p
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"specdis/internal/alias"
 	"specdis/internal/bcode"
@@ -92,6 +93,10 @@ type Prepared struct {
 	// (Options.TierUp).
 	Exec   sim.ExecMode
 	TierUp int64
+	// tierUps counts adaptive-tiering promotions of every interpretation
+	// of this preparation (Options.ExecCounters; nil: the native cache
+	// counts them).
+	tierUps *atomic.Int64
 	// BCode and NCode cache the program's compiled bytecode and native
 	// closure chains, so every interpretation of this preparation — the
 	// profiling run, Capture, Measure, verification reruns — shares one
@@ -154,9 +159,9 @@ type Options struct {
 	// it has executed TierUp times within a run (see sim.Runner.TierUp);
 	// zero compiles eagerly.
 	TierUp int64
-	// ExecCounters, when non-nil, accumulates compilation and cache
-	// statistics across the preparation and everything derived from it
-	// (bytecode or native, per Exec).
+	// ExecCounters, when non-nil, accumulates the statistics of the caches
+	// the preparation creates itself (bytecode or native, per Exec) and the
+	// tier-ups of every interpretation of it, whichever caches it runs on.
 	ExecCounters *bcode.Counters
 	// BCode and NCode, when non-nil, are shared compiled-code caches the
 	// preparation (and everything derived from it) compiles through. Left
@@ -165,6 +170,14 @@ type Options struct {
 	// to different cells, re-preparations of one source — compile once.
 	BCode *bcode.Cache
 	NCode *ncode.Cache
+}
+
+// tierUps returns the counter the preparation's runs count promotions in.
+func (o *Options) tierUps() *atomic.Int64 {
+	if o.ExecCounters == nil {
+		return nil
+	}
+	return &o.ExecCounters.TierUps
 }
 
 // verifyStage checks the program's structural and speculation-safety
@@ -222,7 +235,7 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 			return nil, err
 		}
 	}
-	p := &Prepared{Kind: kind, MemLat: memLat, Prog: prog, BaseOps: prog.OpCount(), MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: o.BCode, NCode: o.NCode}
+	p := &Prepared{Kind: kind, MemLat: memLat, Prog: prog, BaseOps: prog.OpCount(), MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, tierUps: o.tierUps(), BCode: o.BCode, NCode: o.NCode}
 	lat := machine.Infinite(memLat).LatencyFunc()
 
 	// profile runs one profiling interpretation of prog in place. Content
@@ -486,6 +499,7 @@ func Recapture(p *Prepared, opt MeasureOpt) (*trace.Trace, error) {
 		ChaosPanicAt: opt.ChaosPanicAt,
 		Exec:         opt.exec(p),
 		TierUp:       p.TierUp,
+		TierUps:      p.tierUps,
 		BCode:        p.BCode,
 		NCode:        p.NCode,
 		Shapes:       p.Shapes,
@@ -549,6 +563,7 @@ func MeasureWith(p *Prepared, models []machine.Model, opt MeasureOpt) (*sim.Resu
 		ChaosPanicAt: opt.ChaosPanicAt,
 		Exec:         opt.exec(p),
 		TierUp:       p.TierUp,
+		TierUps:      p.tierUps,
 		BCode:        p.BCode,
 		NCode:        p.NCode,
 		Shapes:       p.Shapes,

@@ -51,7 +51,7 @@ func NewProfiled(src string, o Options, record bool) (*Profiled, error) {
 	r := &sim.Runner{
 		Prog: prog, SemLat: machine.Infinite(o.MemLat).LatencyFunc(),
 		Prof: b.Profile, Rec: rec, MaxOps: o.MaxOps, Ctx: o.Ctx,
-		Exec: o.Exec, TierUp: o.TierUp, BCode: o.BCode, NCode: o.NCode,
+		Exec: o.Exec, TierUp: o.TierUp, TierUps: o.tierUps(), BCode: o.BCode, NCode: o.NCode,
 	}
 	res, err := r.Run()
 	if err != nil {

@@ -104,12 +104,12 @@ type Stats struct {
 	// FaultsInjected counts cells the runner's fault-injection plan armed.
 	// Zero unless the runner was built with a non-empty Inject plan.
 	FaultsInjected int64
-	// StorePreps, StoreMeasures, and StoreTraces count cells served whole
-	// from the persistent artifact store (Runner.Store) instead of being
-	// computed: prepare summaries, priced measurement cells, and captured
-	// traces respectively. A fully warm run has Prepares == Measures ==
-	// TraceCaptures == 0 with all the work accounted here.
-	StorePreps, StoreMeasures, StoreTraces int64
+	// StorePreps and StoreMeasures count cells served whole from the
+	// persistent artifact store (Runner.Store) instead of being computed:
+	// prepare summaries and priced measurement cells respectively. A fully
+	// warm run has Prepares == Measures == TraceCaptures == 0 with all the
+	// work accounted here.
+	StorePreps, StoreMeasures int64
 }
 
 // Stats returns a snapshot of the runner's work counters. Safe to call
@@ -148,7 +148,6 @@ func (r *Runner) Stats() Stats {
 		FaultsInjected:   r.nInjected.Load(),
 		StorePreps:       r.nStorePreps.Load(),
 		StoreMeasures:    r.nStoreMeasures.Load(),
-		StoreTraces:      r.nStoreTraces.Load(),
 	}
 }
 

@@ -97,10 +97,10 @@ type Runner struct {
 	Inject *resilience.FaultPlan
 
 	// Store, when non-nil, is the persistent content-addressed artifact
-	// store (`spdbench -store=DIR`): prepare summaries, traces, priced
-	// measurement cells and compiled bytecode are served from it when
-	// present and persisted when computed, so repeat sweeps start warm.
-	// Bypassed under Verify and Inject; see store.go.
+	// store (`spdbench -store=DIR`): prepare summaries and priced
+	// measurement cells are served from it when present and persisted when
+	// computed, so repeat sweeps start warm. Bypassed under Verify and
+	// Inject; see store.go.
 	Store *store.Store
 
 	base   group[string, *ir.Program]
@@ -138,7 +138,6 @@ type Runner struct {
 	nInjected       atomic.Int64
 	nStorePreps     atomic.Int64
 	nStoreMeasures  atomic.Int64
-	nStoreTraces    atomic.Int64
 	bcodeCtrs       bcode.Counters
 
 	// The compiled-code caches are shared across every cell of the sweep:
@@ -152,27 +151,22 @@ type Runner struct {
 }
 
 // caches returns the runner's shared compiled-code caches, creating them on
-// first use wired to the runner's counters — and, when the persistent store
-// is enabled, with the bytecode cache backed by it, so compiled bytecode
-// survives the process.
+// first use wired to the runner's counters.
 func (r *Runner) caches() (*bcode.Cache, *ncode.Cache) {
 	r.cacheOnce.Do(func() {
 		r.bcCache = bcode.NewCache(&r.bcodeCtrs)
 		r.ncCache = ncode.NewCache(&r.bcodeCtrs)
-		if r.storeOK() {
-			r.bcCache.SetBacking(store.BCodeBacking(r.Store))
-		}
 	})
 	return r.bcCache, r.ncCache
 }
 
 // UseCaches makes the runner share pre-built compiled-code caches instead of
 // creating private ones — the service configuration, where one bounded
-// bcode/ncode cache pair (with its own server-level counters and store
-// backing) serves every request's runner. Must be called before the runner
-// executes any cell; it is a no-op if the private caches already exist. The
-// caches' own counters keep compile/hit/eviction totals at the server level,
-// while the runner's per-request Stats counters stay isolated.
+// bcode/ncode cache pair (with its own server-level counters) serves every
+// request's runner. Must be called before the runner executes any cell; it
+// is a no-op if the private caches already exist. The caches' own counters
+// keep compile/hit/eviction totals at the server level, while the runner's
+// per-request Stats counters (tier-ups included) stay isolated.
 func (r *Runner) UseCaches(bc *bcode.Cache, nc *ncode.Cache) {
 	r.cacheOnce.Do(func() {
 		r.bcCache = bc
@@ -285,26 +279,10 @@ func (r *Runner) Prepared(b *bench.Benchmark, kind disamb.Kind, memLat int) (*di
 			}
 			return disamb.PrepareOpts(b.Source, o)
 		}
-		p, err := attempt(r.Exec)
-		mode := r.Exec
-		for err != nil && resilience.Classify(err).Retryable() {
-			// Degradation ladder: a compiled-engine crash walks one rung down
-			// (native → bytecode → tree); the retried preparation keeps its
-			// rung's backend for every later run of this cell. The first error
-			// is kept when every rung fails: it names the root cause on the
-			// primary backend.
-			fb, ok := fallbackOf(mode)
-			if !ok {
-				break
-			}
-			r.noteFallback(mode)
-			if p2, err2 := attempt(fb); err2 == nil {
-				return p2, nil
-			} else if !resilience.Classify(err2).Retryable() {
-				break
-			}
-			mode = fb
-		}
+		// Degradation ladder: a compiled-engine crash walks one rung down;
+		// the retried preparation keeps its rung's backend for every later
+		// run of this cell.
+		p, err := descend(r, r.Exec, attempt)
 		if err != nil {
 			return nil, r.failCell(err, b.Name, kind, key.memLat, "prepare")
 		}
@@ -378,19 +356,6 @@ func (r *Runner) traceFor(b *bench.Benchmark, kind disamb.Kind, memLat int) (*tr
 	}
 	r.nTraceReqs.Add(1)
 	return r.traces.Do(key, func() (*trace.Trace, error) {
-		var skey store.Key
-		if r.storeOK() {
-			skey = r.artifactKey(store.KindTrace, b, key.kind, key.memLat, nil)
-			if tr, ok := store.GetTrace(r.Store, skey); ok {
-				// Warm hit: the persisted trace replaces the capture run.
-				// Event and byte totals still accumulate so trace-layer
-				// stats describe the same workload cold and warm.
-				r.nStoreTraces.Add(1)
-				r.nTraceEvents.Add(tr.Events)
-				r.nTraceBytes.Add(int64(tr.Size()))
-				return tr, nil
-			}
-		}
 		p, err := r.Prepared(b, key.kind, memLat)
 		if err != nil {
 			return nil, err
@@ -406,9 +371,6 @@ func (r *Runner) traceFor(b *bench.Benchmark, kind disamb.Kind, memLat int) (*tr
 		}
 		r.nTraceEvents.Add(tr.Events)
 		r.nTraceBytes.Add(int64(tr.Size()))
-		if r.storeOK() {
-			store.PutTrace(r.Store, skey, tr)
-		}
 		return tr, nil
 	})
 }

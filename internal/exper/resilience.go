@@ -180,14 +180,34 @@ func fallbackOf(mode sim.ExecMode) (sim.ExecMode, bool) {
 	return mode, false
 }
 
-// noteFallback counts one ladder rung taken, attributed to the backend it
-// falls away from.
-func (r *Runner) noteFallback(from sim.ExecMode) {
-	if from == sim.ExecNative {
-		r.nNCodeFallback.Add(1)
-	} else {
-		r.nBCodeFallback.Add(1)
+// descend runs attempt on the start backend and, while the failures are
+// retryable compiled-engine failures, once more on each rung below it
+// (native → bytecode → tree), counting every rung taken against the backend
+// it falls away from. It returns the first success; when every rung fails,
+// or a retry fails for a reason no backend can fix, it returns the first
+// error, which names the root cause on the primary backend.
+func descend[T any](r *Runner, start sim.ExecMode, attempt func(sim.ExecMode) (T, error)) (T, error) {
+	v, err := attempt(start)
+	for mode := start; err != nil && resilience.Classify(err).Retryable(); {
+		fb, ok := fallbackOf(mode)
+		if !ok {
+			break
+		}
+		if mode == sim.ExecNative {
+			r.nNCodeFallback.Add(1)
+		} else {
+			r.nBCodeFallback.Add(1)
+		}
+		v2, err2 := attempt(fb)
+		if err2 == nil {
+			return v2, nil
+		}
+		if !resilience.Classify(err2).Retryable() {
+			break
+		}
+		mode = fb
 	}
+	return v, err
 }
 
 // interpMeasure prices one cell by interpretation, applying the cell's
@@ -212,30 +232,12 @@ func (r *Runner) interpMeasure(b *bench.Benchmark, kind disamb.Kind, cellLat int
 		}
 		return disamb.MeasureWith(p, models, o)
 	}
-	res, err := attempt(p.Exec)
-	if err == nil {
-		r.nInterpCells.Add(1)
-		return res, nil
+	res, err := descend(r, p.Exec, attempt)
+	if err != nil {
+		return nil, err
 	}
-	mode := p.Exec
-	for resilience.Classify(err).Retryable() {
-		// Rung: compiled-engine failure → one retry on the next backend
-		// down. The first error is kept when every rung fails too: it names
-		// the root cause on the primary backend.
-		fb, ok := fallbackOf(mode)
-		if !ok {
-			break
-		}
-		r.noteFallback(mode)
-		if res, err2 := attempt(fb); err2 == nil {
-			r.nInterpCells.Add(1)
-			return res, nil
-		} else if !resilience.Classify(err2).Retryable() {
-			break
-		}
-		mode = fb
-	}
-	return nil, err
+	r.nInterpCells.Add(1)
+	return res, nil
 }
 
 // dropMainSchedule deletes the schedule of main's entry tree from every

@@ -1,11 +1,12 @@
 package exper
 
-// Persistent warm-start layer: when Runner.Store is set, every expensive
-// cell artifact — prepare summaries, captured traces, priced measurement
-// cells, and (through the bytecode cache's backing) bytecode programs — is
-// served from the content-addressed on-disk store when present and persisted
-// when computed. A fully warm run renders every report without compiling a
-// single tree or capturing a single trace.
+// Persistent warm-start layer: when Runner.Store is set, the two cell
+// artifacts a report is rendered from — prepare summaries and priced
+// measurement cells — are served from the content-addressed on-disk store
+// when present and persisted when computed. A fully warm run renders every
+// report without compiling a single tree or capturing a single trace.
+// Compiled code and traces are intermediate to those two and are not
+// persisted: a warm run never reaches them.
 //
 // Keys hash everything that determines an artifact's content: the
 // benchmark's source text (content addressing — renames don't invalidate),

@@ -472,8 +472,11 @@ func (s *Server) runner(ctx context.Context, exec sim.ExecMode, fuel int64, benc
 	r.Par = s.cfg.Par
 	r.Benchmarks = benches
 	r.Exec = exec
-	if s.cfg.TierUp > 0 {
+	switch {
+	case s.cfg.TierUp > 0:
 		r.TierUp = s.cfg.TierUp
+	case s.cfg.TierUp < 0:
+		r.TierUp = 0 // eager: every tree compiles on its first execution
 	}
 	r.Fuel = fuel
 	r.Ctx = ctx

@@ -68,16 +68,18 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Exec is the default execution tier: "native" (also the empty string),
 	// "bcode", or "tree"; requests may select their own. New panics on any
-	// other value — a configuration typo, caught at construction. TierUp is
-	// the adaptive-tiering threshold under the native tier.
-	Exec   string
+	// other value — a configuration typo, caught at construction.
+	Exec string
+	// TierUp is the adaptive-tiering threshold under the native tier: 0
+	// means exper.DefaultTierUp, and a negative value compiles every tree
+	// eagerly.
 	TierUp int64
 	// CacheLimit bounds each shared compiled-code cache to N entries
 	// (bcode.Cache.SetLimit); 0 means DefaultCacheLimit, negative disables
 	// the bound.
 	CacheLimit int
-	// Store, when non-nil, is the shared persistent artifact store; it also
-	// backs the shared compiled-code caches.
+	// Store, when non-nil, is the shared persistent artifact store of
+	// prepare summaries and priced measurement cells.
 	Store *store.Store
 	// Inject is the seeded fault-injection plan threaded into every
 	// request's engine (chaos mode; nil in production). Store-level sio
@@ -155,9 +157,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheLimit > 0 {
 		s.bc.SetLimit(cfg.CacheLimit)
 		s.nc.SetLimit(cfg.CacheLimit)
-	}
-	if cfg.Store != nil {
-		s.bc.SetBacking(store.BCodeBacking(cfg.Store))
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/eval", s.handleEval)

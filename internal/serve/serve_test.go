@@ -125,6 +125,34 @@ func TestEvalMatrix(t *testing.T) {
 	}
 }
 
+// TestTierUpConfig pins Config.TierUp's zero and negative values on a named
+// eval under the native tier: the zero Config tiers up at DefaultTierUp, so
+// hot trees are promoted during the run and the request's tier_ups counts
+// them; a negative value compiles every tree eagerly, so nothing is ever
+// promoted; and both price the cell alike.
+func TestTierUpConfig(t *testing.T) {
+	req := EvalRequest{Bench: "perm", Pipeline: "SPEC", MemLat: 2, Exec: "native"}
+	var results []json.RawMessage
+	for _, c := range []struct {
+		name   string
+		tierUp int64
+		tiered bool
+	}{{"default", 0, true}, {"eager", -1, false}} {
+		_, ts := newTestServer(t, Config{TierUp: c.tierUp})
+		status, _, resp := postEval(t, ts.URL, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d (%+v)", c.name, status, resp.Error)
+		}
+		if got := resp.Stats.TierUps > 0; got != c.tiered {
+			t.Errorf("%s server: tier_ups = %d, want tiered=%v", c.name, resp.Stats.TierUps, c.tiered)
+		}
+		results = append(results, resp.Result)
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Fatalf("eager result differs from tiered:\n%s\n%s", results[0], results[1])
+	}
+}
+
 func mustKind(t *testing.T, name string) disamb.Kind {
 	t.Helper()
 	p, apiErr := New(Config{}).plan(&EvalRequest{Bench: "perm", Pipeline: name, MemLat: 2})

@@ -39,7 +39,9 @@ func (r *Runner) execNC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 			c.nenv.Committed = c.committed
 			c.nenv.Addrs = c.addrs
 		}
-		if ctrs := r.NCode.Counters(); ctrs != nil {
+		if r.TierUps != nil {
+			r.TierUps.Add(1)
+		} else if ctrs := r.NCode.Counters(); ctrs != nil {
 			ctrs.TierUps.Add(1)
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"specdis/internal/bcode"
 	"specdis/internal/ir"
@@ -187,8 +188,13 @@ type Runner struct {
 	// trees never pay the native compile. Zero or negative compiles every
 	// tree natively up front (the eager behavior, and the zero-value
 	// default). Ignored by the other backends. Promotions are counted in
-	// the native cache's Counters().TierUps.
+	// TierUps when set, else in the native cache's Counters().TierUps.
 	TierUp int64
+	// TierUps, when non-nil, counts this run's promotions in place of the
+	// native cache's counter: a caller whose caches are shared wider than
+	// its statistics (a service's per-request stats over server-wide
+	// caches) still sees its own promotions.
+	TierUps *atomic.Int64
 	// BCode caches compiled bytecode by tree. Callers that run the same
 	// program many times (or share it across Runners) should supply one;
 	// left nil, the Runner creates a private cache on first use. Both caches

@@ -13,20 +13,13 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-
-	"specdis/internal/bcode"
-	"specdis/internal/ir"
-	"specdis/internal/trace"
 )
 
 // Format versions, one per artifact kind. Bump on any body layout change:
 // old artifacts then read as misses and are rewritten on the next cold run.
 const (
-	VersionBCode = 1
-	VersionTrace = 1
-	VersionPrep  = 1
-	VersionMeas  = 1
+	VersionPrep = 1
+	VersionMeas = 1
 )
 
 // header appends the payload preamble.
@@ -204,101 +197,4 @@ func DecodeMeas(payload []byte) (*MeasCell, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// ---- Execution trace -----------------------------------------------------
-
-// EncodeTrace encodes a captured trace payload (the trace's own sealed CRC
-// footer rides along inside the body, so a persisted trace is
-// double-protected).
-func EncodeTrace(t *trace.Trace) []byte {
-	enc := t.Marshal()
-	buf := header(make([]byte, 0, len(enc)+8), KindTrace, VersionTrace)
-	return append(buf, enc...)
-}
-
-// DecodeTrace decodes a trace payload, verifying the trace's own integrity
-// footer.
-func DecodeTrace(payload []byte) (*trace.Trace, error) {
-	body, err := checkHeader(payload, KindTrace, VersionTrace)
-	if err != nil {
-		return nil, err
-	}
-	t, err := trace.Unmarshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return t, nil
-}
-
-// ---- Compiled bytecode ---------------------------------------------------
-
-// maxBCodeSlots bounds decoded instruction and constant counts.
-const maxBCodeSlots = 1 << 20
-
-// EncodeBCode encodes a compiled bytecode program. The source tree is not
-// part of the artifact: the executor reads nothing tree-specific beyond the
-// instruction stream, and the cache that loads the artifact binds it to the
-// requesting tree (the same aliasing the in-process cache already performs).
-func EncodeBCode(p *bcode.Prog) []byte {
-	buf := header(make([]byte, 0, 16+20*len(p.Code)), KindBCode, VersionBCode)
-	buf = binary.AppendUvarint(buf, uint64(p.NumGuarded))
-	buf = binary.AppendUvarint(buf, uint64(len(p.Code)))
-	for i := range p.Code {
-		in := &p.Code[i]
-		flags := byte(0)
-		if in.GNeg {
-			flags = 1
-		}
-		buf = append(buf, byte(in.Op), flags)
-		buf = binary.AppendUvarint(buf, uint64(in.GIdx))
-		buf = binary.AppendVarint(buf, int64(in.Guard))
-		buf = binary.AppendVarint(buf, int64(in.A))
-		buf = binary.AppendVarint(buf, int64(in.B))
-		buf = binary.AppendVarint(buf, int64(in.Dest))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Consts)))
-	for _, c := range p.Consts {
-		buf = binary.AppendVarint(buf, c.I)
-		buf = binary.AppendUvarint(buf, math.Float64bits(c.F))
-	}
-	return buf
-}
-
-// DecodeBCode decodes a compiled bytecode program. Prog.Tree is nil; the
-// caller binds it to the tree the lookup was keyed by.
-func DecodeBCode(payload []byte) (*bcode.Prog, error) {
-	body, err := checkHeader(payload, KindBCode, VersionBCode)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: body}
-	p := &bcode.Prog{NumGuarded: int(d.uvarint("guarded"))}
-	n := d.count("instructions", maxBCodeSlots)
-	p.Code = make([]bcode.Instr, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		if len(d.b) < 2 {
-			d.err = fmt.Errorf("%w: truncated instruction", ErrCorrupt)
-			break
-		}
-		in := bcode.Instr{Op: bcode.Op(d.b[0]), GNeg: d.b[1] != 0}
-		d.b = d.b[2:]
-		in.GIdx = uint16(d.uvarint("gidx"))
-		in.Guard = int32(d.varint("guard"))
-		in.A = int32(d.varint("a"))
-		in.B = int32(d.varint("b"))
-		in.Dest = int32(d.varint("dest"))
-		p.Code = append(p.Code, in)
-	}
-	nc := d.count("constants", maxBCodeSlots)
-	p.Consts = make([]ir.Value, 0, nc)
-	for i := 0; i < nc && d.err == nil; i++ {
-		v := ir.Value{I: d.varint("const int")}
-		v.F = math.Float64frombits(d.uvarint("const float"))
-		p.Consts = append(p.Consts, v)
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }

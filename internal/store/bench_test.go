@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// Benchmark payloads at the store's two working sizes: a prepare summary
-// (~20 B) and a captured-trace artifact (~200 KB, the suite's largest).
+// Benchmark payloads: a prepare summary (~20 B), and 200 KB as a
+// large-payload bound (the size of the largest trace, a kind the store no
+// longer holds).
 var benchSizes = []int{24, 200 << 10}
 
 func BenchmarkStorePut(b *testing.B) {

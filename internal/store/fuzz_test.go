@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"testing"
 
-	"specdis/internal/bcode"
 	"specdis/internal/bench"
-	"specdis/internal/compile"
-	"specdis/internal/machine"
-	"specdis/internal/sim"
+	"specdis/internal/disamb"
+	"specdis/internal/exper"
 	"specdis/internal/store"
-	"specdis/internal/trace"
 )
 
 // decoders runs every artifact codec over one payload. A payload that
@@ -44,59 +41,43 @@ var decoders = []struct {
 		}
 		return enc, store.EncodeMeas(m2), true
 	}},
-	{"trace", func(b []byte) ([]byte, []byte, bool) {
-		tr, err := store.DecodeTrace(b)
-		if err != nil {
-			return nil, nil, false
-		}
-		enc := store.EncodeTrace(tr)
-		tr2, err := store.DecodeTrace(enc)
-		if err != nil {
-			return enc, nil, true
-		}
-		return enc, store.EncodeTrace(tr2), true
-	}},
-	{"bcode", func(b []byte) ([]byte, []byte, bool) {
-		p, err := store.DecodeBCode(b)
-		if err != nil {
-			return nil, nil, false
-		}
-		enc := store.EncodeBCode(p)
-		p2, err := store.DecodeBCode(enc)
-		if err != nil {
-			return enc, nil, true
-		}
-		return enc, store.EncodeBCode(p2), true
-	}},
 }
 
 // FuzzStoreDecode feeds arbitrary bytes to every store Decode* codec: each
 // must return an artifact or an error, never panic, and any artifact it
 // accepts must survive an encode/decode round trip unchanged. Seeded with
-// encoded artifacts of real suite programs (summaries, measurement cells,
-// traces, compiled bytecode) and with raw suite sources.
+// the summaries and measurement cells of real suite programs (what a cold
+// -store run persists for them) and with raw suite sources.
 func FuzzStoreDecode(f *testing.F) {
 	f.Add(store.EncodePrep(&store.PrepSummary{RAW: 3, WAR: 1, WAW: 2, BaseOps: 120, AfterOps: 131, Grafts: 1}))
 	f.Add(store.EncodeMeas(&store.MeasCell{Lats: []int{2, 6}, Times: [][]int64{{10, 40, 30}, {12, 44, 33}}, Ops: 900}))
+	r := exper.New()
+	r.Par = 1
 	for _, name := range []string{"quick", "fft"} {
 		b := bench.ByName(name)
 		f.Add([]byte(b.Source))
-		prog, err := compile.Compile(b.Source)
-		if err != nil {
-			f.Fatal(err)
-		}
-		rec := trace.NewRecorder()
-		res, err := (&sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Rec: rec}).Run()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(store.EncodeTrace(rec.Finish(res.Ops, res.Committed)))
-		for _, fn := range prog.Order {
-			for _, t := range prog.Funcs[fn].Trees[:1] {
-				if bp, err := bcode.Compile(t); err == nil {
-					f.Add(store.EncodeBCode(bp))
-				}
+		for _, lat := range exper.MemLats {
+			sum, err := r.Summary(b, disamb.Spec, lat)
+			if err != nil {
+				f.Fatal(err)
 			}
+			f.Add(store.EncodePrep(sum))
+		}
+		// NAIVE prices both latencies in one cell; SPEC one per latency.
+		for _, c := range []struct {
+			kind disamb.Kind
+			lats []int
+		}{{disamb.Naive, exper.MemLats}, {disamb.Spec, exper.MemLats[:1]}} {
+			mc := &store.MeasCell{Lats: c.lats}
+			for _, lat := range c.lats {
+				m, err := r.Measure(b, c.kind, lat)
+				if err != nil {
+					f.Fatal(err)
+				}
+				mc.Times = append(mc.Times, append([]int64{m.Inf}, m.ByWidth[:]...))
+				mc.Ops = m.Ops
+			}
+			f.Add(store.EncodeMeas(mc))
 		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {

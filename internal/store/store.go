@@ -1,14 +1,16 @@
 // Package store is a persistent, content-addressed artifact store for the
-// evaluation pipeline: compiled bytecode, captured execution traces,
-// prepare-cell summaries and priced measurement cells, keyed by cryptographic
-// hashes of everything that determines the artifact (program source,
-// pipeline, latency, transform parameters — the ir.AppendExecKey idea lifted
-// from per-process caches to disk).
+// evaluation pipeline. It holds the two artifact kinds a report is rendered
+// from: prepare-cell summaries (SpD application and operation counts) and
+// priced measurement cells (cycle counts per machine model), keyed by
+// cryptographic hashes of everything that determines the artifact (program
+// source, pipeline, latency, transform parameters).
 //
 // The store is the warm-start substrate of the sweep grid: a cold
 // `spdbench -store=DIR` run populates it, and a warm run serves every cell
 // from it — zero tree compilations, zero trace captures, byte-identical
-// reports.
+// reports. Nothing else is persisted: compiled code and execution traces are
+// only ever intermediate to a summary or a cell, so a warm run never reads
+// them (docs/PERFORMANCE.md, "Store ablation").
 //
 // # On-disk layout
 //
@@ -56,23 +58,16 @@ import (
 // the kind is also hashed into the key) can never decode as the wrong type.
 type Kind byte
 
-// Artifact kinds.
+// Artifact kinds. Kinds 1 to 3 are retired (compiled bytecode, native-tier
+// compile metadata and execution traces). They stay unassigned rather than
+// renumbering the live kinds: the kind byte is hashed into every key.
 const (
-	KindBCode Kind = 1 // compiled bytecode program (internal/bcode)
-	// Kind 2 is retired (it held native-tier compile metadata). It stays
-	// unassigned rather than renumbering the others: the kind byte is
-	// hashed into every key.
-	KindTrace Kind = 3 // captured execution trace (internal/trace)
-	KindPrep  Kind = 4 // prepare-cell summary (SpD counts, op counts)
-	KindMeas  Kind = 5 // priced measurement cell (cycle counts per model)
+	KindPrep Kind = 4 // prepare-cell summary (SpD counts, op counts)
+	KindMeas Kind = 5 // priced measurement cell (cycle counts per model)
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindBCode:
-		return "bcode"
-	case KindTrace:
-		return "trace"
 	case KindPrep:
 		return "prep"
 	case KindMeas:
@@ -131,11 +126,6 @@ type Stats struct {
 	// the footer, kind, or version checks; each one cost its caller a
 	// recompute and was repaired by the subsequent Put.
 	CorruptDropped int64
-	// InvalidDropped counts artifacts that decoded cleanly but failed
-	// semantic validation against the tree they were loaded for (the
-	// translation validator, internal/verify.CheckBCode) — a stale or tampered artifact whose CRC still
-	// matches. Dropped and recomputed exactly like corruption.
-	InvalidDropped int64
 	// IOShortReads and IOOpenErrors count injected store I/O faults
 	// (ArmIOFaults): short reads surface as corruption (the footer check
 	// fails, the file is dropped and repaired by the recompute's Put), while
@@ -297,7 +287,7 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	}
 	payload, err := checkFooter(data)
 	if err != nil {
-		s.dropCorrupt(k)
+		s.DropCorrupt(k)
 		return nil, false
 	}
 	s.note(func(st *Stats) {
@@ -347,24 +337,12 @@ func (s *Store) Put(k Key, payload []byte) error {
 	return nil
 }
 
-// DropCorrupt removes the artifact stored under key and counts it as
-// corruption-dropped. The typed decoders call it when a payload passes the
-// footer but fails its kind or version word.
-func (s *Store) DropCorrupt(k Key) { s.drop(k, &s.stats.CorruptDropped) }
-
-// DropInvalid removes the artifact stored under key and counts it as
-// validation-dropped: the payload decoded cleanly but the decoded artifact
-// failed semantic validation against the tree it was loaded for. The load
-// adapters (backing.go) call it when the translation validator rejects a
-// loaded program.
-func (s *Store) DropInvalid(k Key) { s.drop(k, &s.stats.InvalidDropped) }
-
-func (s *Store) dropCorrupt(k Key) { s.drop(k, &s.stats.CorruptDropped) }
-
-// drop removes key from disk and the memory front and counts the Get that
-// led here as a miss, bumping ctr (a field of s.stats, mutated under the
-// lock) to make the repair observable.
-func (s *Store) drop(k Key, ctr *int64) {
+// DropCorrupt removes the artifact stored under key from disk and the
+// memory front, counting the Get that led here as a miss and the artifact
+// as corruption-dropped. Get calls it when a file fails its footer; the
+// typed decoders when a payload passes the footer but fails its kind,
+// version or body checks.
+func (s *Store) DropCorrupt(k Key) {
 	os.Remove(s.path(k))
 	s.mu.Lock()
 	if el, ok := s.mem[k]; ok {
@@ -373,7 +351,7 @@ func (s *Store) drop(k Key, ctr *int64) {
 		delete(s.mem, k)
 	}
 	s.stats.Misses++
-	*ctr++
+	s.stats.CorruptDropped++
 	s.mu.Unlock()
 }
 

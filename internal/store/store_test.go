@@ -7,10 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"specdis/internal/bcode"
-	"specdis/internal/ir"
-	"specdis/internal/trace"
 )
 
 func openTemp(t *testing.T) *Store {
@@ -229,7 +225,7 @@ func TestIOFaultInjection(t *testing.T) {
 	s.SetMemCap(0) // every Get reads disk: faults are reachable
 	payloads := map[Key][]byte{}
 	for i := byte(0); i < 8; i++ {
-		k := NewKey(KindTrace, []byte{i})
+		k := NewKey(KindMeas, []byte{i})
 		p := bytes.Repeat([]byte{'a' + i}, 64)
 		if err := s.Put(k, p); err != nil {
 			t.Fatal(err)
@@ -284,7 +280,7 @@ func TestIOFaultInjection(t *testing.T) {
 // cache.
 func TestIOFaultKeepsMemFrontClean(t *testing.T) {
 	s := openTemp(t)
-	k := NewKey(KindTrace, []byte("hot"))
+	k := NewKey(KindMeas, []byte("hot"))
 	want := bytes.Repeat([]byte{0xAB}, 128)
 	if err := s.Put(k, want); err != nil {
 		t.Fatal(err)
@@ -381,50 +377,6 @@ func TestMeasRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("roundtrip = %+v, want %+v", got, m)
-	}
-}
-
-func TestBCodeRoundtrip(t *testing.T) {
-	p := &bcode.Prog{
-		NumGuarded: 2,
-		Code: []bcode.Instr{
-			{Op: 1, GNeg: true, GIdx: 3, Guard: -1, A: 10, B: -20, Dest: 5},
-			{Op: 7, Guard: 2, A: 0, B: 1, Dest: -3},
-		},
-		Consts: []ir.Value{{I: -7, F: 3.25}, {I: 0, F: -0.5}},
-	}
-	got, err := DecodeBCode(EncodeBCode(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tree != nil {
-		t.Error("decoded Prog.Tree must be nil (caller binds it)")
-	}
-	if got.NumGuarded != p.NumGuarded || !reflect.DeepEqual(got.Code, p.Code) || !reflect.DeepEqual(got.Consts, p.Consts) {
-		t.Fatalf("roundtrip = %+v, want %+v", got, p)
-	}
-}
-
-func TestTraceRoundtrip(t *testing.T) {
-	rec := trace.NewRecorder()
-	rec.Tree(3, 1, []byte{0b101})
-	rec.Call(2)
-	rec.Tree(700, 0, nil)
-	rec.Ret()
-	tr := rec.Finish(42, 40)
-
-	got, err := DecodeTrace(EncodeTrace(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Events != tr.Events || got.Ops != tr.Ops || got.Committed != tr.Committed {
-		t.Fatalf("totals differ: got %+v, want %+v", got, tr)
-	}
-	if !bytes.Equal(got.Bytes(), tr.Bytes()) {
-		t.Fatal("event stream differs after roundtrip")
-	}
-	if err := got.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -3,10 +3,9 @@ package verify
 // This file is verification layer 4a: a translation validator for the
 // bytecode tier. Where layers 1–3 audit the tree IR itself, CheckBCode
 // audits a compiled artifact *against* its source tree — the thing the
-// simulator actually executes, and the thing the persistent artifact store
-// loads back across processes. A compile bug, a stale artifact bound to the
-// wrong tree, or a corrupted payload that survived the store's CRC is
-// rejected statically here instead of producing wrong prices.
+// simulator actually executes. A compile bug or an artifact bound to the
+// wrong tree is rejected statically here instead of producing wrong
+// prices.
 //
 // Two passes run over the instruction stream:
 //
